@@ -13,9 +13,9 @@ GO ?= go
 RACE_PKGS = ./internal/transport ./internal/telemetry ./internal/rack \
 	./internal/core ./internal/netsim ./internal/netio .
 
-.PHONY: check vet lint lint-one lint-allows lint-sarif build test race chaos fuzz bench bench-smoke top-smoke flight-check elastic-smoke failover-smoke examples clean
+.PHONY: check vet lint lint-one lint-allows lint-sarif build test race chaos fuzz bench bench-smoke bench-golden top-smoke flight-check elastic-smoke failover-smoke examples clean
 
-check: vet lint build test race chaos bench-smoke top-smoke flight-check elastic-smoke failover-smoke
+check: vet lint build test race chaos bench-smoke bench-golden top-smoke flight-check elastic-smoke failover-smoke
 
 vet:
 	$(GO) vet ./...
@@ -72,7 +72,19 @@ bench:
 # micro-benchmarks. Regenerate the committed baseline with:
 #   $(GO) run ./cmd/switchml-bench -scale 1 -artifacts . hotpath
 bench-smoke:
-	$(GO) test -run 'ZeroAlloc|Hotpath' ./internal/packet ./internal/core ./internal/netsim ./internal/netio ./internal/transport ./internal/bench
+	$(GO) test -run 'ZeroAlloc|Hotpath' ./internal/packet ./internal/core ./internal/netsim ./internal/rack ./internal/netio ./internal/transport ./internal/bench
+
+# Simulator golden gate: the deterministic simulated benches must
+# regenerate byte for byte. Any change to event ordering, loss draws or
+# protocol behaviour in the simulator shows up as a diff against the
+# committed BENCH_*.json. After an intended change, regenerate with:
+#   $(GO) run ./cmd/switchml-bench -scale 10 -seed 1 -artifacts . $(GOLDEN)
+GOLDEN = failover elastic fallback
+
+bench-golden:
+	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
+	$(GO) run ./cmd/switchml-bench -scale 10 -seed 1 -artifacts "$$tmp" $(GOLDEN) > /dev/null && \
+	for e in $(GOLDEN); do cmp "$$tmp/BENCH_$$e.json" "BENCH_$$e.json" || exit 1; done
 
 # Observability smoke: switchml-top boots an in-process cluster over
 # loopback UDP, polls its own debug endpoints and validates the JSON

@@ -93,6 +93,9 @@ func runHotpathOpt(m *Module, honorExempt bool) []Diagnostic {
 				return true
 			}
 			if callee := staticCallee(fi.pkg.Info, call); callee != nil {
+				// A call into generic code resolves to an instance;
+				// its body is the generic declaration's.
+				callee = callee.Origin()
 				if _, local := funcs[callee]; local {
 					walk(callee, root)
 				}

@@ -70,3 +70,16 @@ func exempted() string {
 }
 
 func cold() { _ = exempted() }
+
+// Ring is generic: a hot-path call into it resolves to an instance,
+// whose body is the generic declaration's.
+type Ring[T any] struct{ q []T }
+
+// Put is a hot-path root that reaches generic code.
+//
+//switchml:hotpath
+func Put(r *Ring[int], v int) { r.push(v) }
+
+func (r *Ring[T]) push(v T) {
+	r.q = append(r.q, v) // want "append may grow its backing array in hot.Ring.push \\(on the hot path of hot.Put\\)"
+}

@@ -276,10 +276,11 @@ func (rs *rackSwitch) Deliver(msg netsim.Message) {
 	case packet.KindResult, packet.KindResultUnicast:
 		// Final result from the root: multicast to the rack. Unicast
 		// repair results also fan out; workers that already hold the
-		// value deduplicate.
+		// value deduplicate. Workers only read results, so every port
+		// carries the same packet.
 		rs.sim.After(rs.latency, func() {
 			for _, dl := range rs.downlinks {
-				dl.Send(p.Clone())
+				dl.Send(p)
 			}
 		})
 	}
@@ -303,8 +304,10 @@ func (rn *rootNode) Deliver(msg netsim.Message) {
 	}
 	rn.sim.After(rn.latency, func() {
 		if resp.Multicast {
+			// One shared read-only packet: rack switches forward it
+			// unchanged.
 			for _, dl := range rn.downlinks {
-				dl.Send(resp.Pkt.Clone())
+				dl.Send(resp.Pkt)
 			}
 			return
 		}

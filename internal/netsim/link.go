@@ -33,6 +33,16 @@ type Node interface {
 	Deliver(msg Message)
 }
 
+// Copier is a Node that may recycle a message once it has handled it.
+// A link's duplication fault then delivers, as the second copy, an
+// independent one that Copy makes when the message is sent, so the
+// duplicate survives the first delivery's recycling. A plain Node gets
+// the same message twice.
+type Copier interface {
+	Node
+	Copy(msg Message) Message
+}
+
 // NodeFunc adapts a function to the Node interface.
 type NodeFunc func(msg Message)
 
@@ -97,6 +107,10 @@ type Link struct {
 	// nextFree is the virtual time at which the transmitter becomes
 	// idle.
 	nextFree Time
+	// arrivals holds the messages in flight. Arrival times follow
+	// transmit order (FIFO serialization, fixed propagation), so one
+	// lane carries them all.
+	arrivals *Lane[Message]
 	stats    LinkStats
 }
 
@@ -116,7 +130,7 @@ type LinkConfig struct {
 	// model instance must be exclusive to this link.
 	Loss LossModel
 	// DupRate is the probability in [0,1) that a delivered message is
-	// delivered twice.
+	// delivered twice (see Copier).
 	DupRate float64
 	// CorruptRate is the probability in [0,1) that a message is
 	// mangled in flight and discarded by the receiver's checksum.
@@ -144,7 +158,7 @@ func NewLink(sim *Sim, cfg LinkConfig, dst Node) *Link {
 	if loss == nil && cfg.LossRate > 0 {
 		loss = Bernoulli{P: cfg.LossRate}
 	}
-	return &Link{
+	l := &Link{
 		sim:         sim,
 		name:        cfg.Name,
 		bitsPerSec:  cfg.BitsPerSec,
@@ -154,6 +168,8 @@ func NewLink(sim *Sim, cfg LinkConfig, dst Node) *Link {
 		corruptRate: cfg.CorruptRate,
 		dst:         dst,
 	}
+	l.arrivals = NewLane(sim, l.deliver)
+	return l
 }
 
 // Name returns the link's diagnostic name.
@@ -233,6 +249,8 @@ func (l *Link) trace(t telemetry.EventType, ts Time, size int) {
 // Send enqueues msg for transmission. It returns the virtual time at
 // which the message will finish serializing (even if it is then
 // dropped), which callers can use for back-to-back pacing.
+//
+//switchml:hotpath
 func (l *Link) Send(msg Message) Time {
 	now := l.sim.Now()
 	start := l.nextFree
@@ -273,20 +291,27 @@ func (l *Link) Send(msg Message) Time {
 		l.trace(telemetry.EvPacketDropped, txDone, size)
 		return txDone
 	}
-	deliveries := 1
-	if !reliable && l.dupRate > 0 && l.sim.Rand().Float64() < l.dupRate {
-		deliveries = 2
-		l.stats.Duplicated++
-	}
 	arrival := txDone + l.prop
-	for i := 0; i < deliveries; i++ {
-		l.sim.At(arrival, func() {
-			l.stats.Delivered++
-			l.trace(telemetry.EvPacketRecv, arrival, size)
-			l.dst.Deliver(msg)
-		})
+	l.arrivals.Push(arrival, msg)
+	if !reliable && l.dupRate > 0 && l.sim.Rand().Float64() < l.dupRate {
+		l.stats.Duplicated++
+		if c, ok := l.dst.(Copier); ok {
+			msg = c.Copy(msg)
+		}
+		l.arrivals.Push(arrival, msg)
 	}
 	return txDone
+}
+
+// deliver hands an arrived message to the destination.
+//
+//switchml:hotpath
+func (l *Link) deliver(msg Message) {
+	l.stats.Delivered++
+	if l.sim.tracer != nil {
+		l.trace(telemetry.EvPacketRecv, l.sim.now, msg.WireSize())
+	}
+	l.dst.Deliver(msg)
 }
 
 // Busy reports whether the transmitter has queued work beyond the

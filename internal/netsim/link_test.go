@@ -162,3 +162,51 @@ func TestLinkName(t *testing.T) {
 		t.Errorf("NextFree = %v, want 0", l.NextFree())
 	}
 }
+
+// buf is a mutable message, as a pooled packet would be.
+type buf struct{ b []byte }
+
+func (m *buf) WireSize() int { return len(m.b) }
+
+// copier is a collector that recycles what it is delivered, so it asks
+// the link for independent duplicates.
+type copier struct{ collector }
+
+func (c *copier) Copy(m Message) Message {
+	return &buf{b: append([]byte(nil), m.(*buf).b...)}
+}
+
+// TestLinkDuplicateCopies checks the duplication fault: a Copier
+// receives the original and then an independent copy made at send
+// time, so it may recycle the first delivery before the second
+// arrives; a plain Node receives the same message twice.
+func TestLinkDuplicateCopies(t *testing.T) {
+	s := NewSim(5)
+	cp := &copier{collector{sim: s}}
+	plain := &collector{sim: s}
+	cfg := LinkConfig{Name: "l", BitsPerSec: 1e9, Propagation: Microsecond, DupRate: 0.999}
+	toCopier, toPlain := NewLink(s, cfg, cp), NewLink(s, cfg, plain)
+	m1, m2 := &buf{b: []byte{1, 2, 3}}, &buf{b: []byte{4, 5}}
+	s.At(0, func() {
+		toCopier.Send(m1)
+		m1.b[0] = 99 // the sender's later writes must not reach the copy
+		toPlain.Send(m2)
+	})
+	s.Run()
+	if len(cp.msgs) != 2 || len(plain.msgs) != 2 {
+		t.Fatalf("delivered %d and %d messages, want 2 each", len(cp.msgs), len(plain.msgs))
+	}
+	first, dup := cp.msgs[0].(*buf), cp.msgs[1].(*buf)
+	if first != m1 || dup == m1 {
+		t.Fatal("Copier: want the original first, then an independent copy")
+	}
+	if string(dup.b) != string([]byte{1, 2, 3}) {
+		t.Errorf("duplicate = %v, want the contents at send time [1 2 3]", dup.b)
+	}
+	if plain.msgs[0] != m2 || plain.msgs[1] != m2 {
+		t.Error("plain Node: want the same message twice")
+	}
+	if cp.times[0] != cp.times[1] {
+		t.Errorf("duplicate arrived at %v, original at %v", cp.times[1], cp.times[0])
+	}
+}

@@ -7,11 +7,22 @@
 // All time is virtual, so experiments are reproducible bit-for-bit
 // for a given seed and are independent of host speed.
 //
+// The scheduler is a binary heap of event sources. A source is either
+// a one-shot callback scheduled with At/After — the control plane:
+// fault scripts, detector sweeps, probes, samplers — or a Lane, a FIFO
+// of typed events pushed in time order: link deliveries, host core
+// run queues, a switch pipeline, a family of timers. Lanes carry the
+// per-packet traffic without allocating, and only a lane's head sits
+// in the heap. Every At and every lane push takes the next global
+// sequence number, so equal-time events run in scheduling order
+// whichever source holds them.
+//
 //switchml:deterministic
 package netsim
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"time"
 
@@ -37,37 +48,53 @@ func (t Time) Duration() time.Duration { return time.Duration(t) }
 // String formats the time like time.Duration.
 func (t Time) String() string { return time.Duration(t).String() }
 
-// event is a scheduled callback. Events are stored by value in the
-// heap slice — no per-event heap allocation — and carry the index of
-// their handle slot so cancellation can find them.
-type event struct {
-	at   Time
-	seq  uint64 // Tie-break so equal-time events run FIFO.
-	fn   func()
-	slot int32 // Handle-table index; see timerSlot.
+// key is one heap entry: the (at, seq) key of a source's next event
+// and the source's index in the handle table. Keys carry no pointers,
+// so the sift swaps of the heap never pay GC write barriers; the
+// callbacks they order live in the handle table instead.
+type key struct {
+	at  Time
+	seq uint64 // Tie-break so equal-time events run FIFO.
+	src int32  // Handle-table index; see source.
 }
 
-// timerSlot is one entry of the handle table: the event's current
-// heap index (maintained across sift operations) plus a generation
-// counter that invalidates stale Timer handles once the event fires
-// or is cancelled and the slot is recycled.
-type timerSlot struct {
-	heapIdx int32
-	gen     uint32
+// source is one entry of the handle table: a one-shot event scheduled
+// with At, or a lane. gen invalidates stale Timer handles once a
+// one-shot event fires or is cancelled; the entry is recycled when its
+// key leaves the heap. Lane entries are permanent.
+type source struct {
+	fn   func()     // One-shot callback; nil for lanes and once cancelled.
+	lane laneSource // Non-nil for a lane.
+	gen  uint32
+}
+
+// laneSource is the scheduler's view of a Lane, whatever its payload
+// type.
+type laneSource interface {
+	// fire is called when the lane's heap key is the minimum. It runs
+	// the head event (returning true), or — when the key is stale
+	// because the head was cancelled — re-keys the lane without
+	// running anything.
+	fire() bool
+	cancel(pos uint64) bool
+	pending(pos uint64) bool
 }
 
 // Sim is a single-threaded discrete-event simulation. It is not safe
 // for concurrent use; all actors run inside event callbacks.
 type Sim struct {
 	now Time
-	// events is a binary min-heap ordered by (at, seq), stored by
-	// value; free-listed handle slots make scheduling allocation-free
-	// in steady state.
-	events []event
-	slots  []timerSlot
-	free   []int32
-	seq    uint64
-	rng    *rand.Rand
+	// heap is a binary min-heap of event sources ordered by the (at,
+	// seq) of each source's next event; free-listed handle-table
+	// entries make scheduling allocation-free in steady state.
+	heap []key
+	srcs []source
+	free []int32
+	// seq is the next global sequence number. Every At and every Lane
+	// push reserves one, so equal-time events run in scheduling order
+	// whichever source holds them.
+	seq uint64
+	rng *rand.Rand
 	// processed counts executed events, useful for run-away detection
 	// in tests.
 	processed uint64
@@ -98,37 +125,53 @@ func (s *Sim) SetTracer(t telemetry.Tracer) { s.tracer = t }
 // Tracer returns the installed tracer, nil when tracing is off.
 func (s *Sim) Tracer() telemetry.Tracer { return s.tracer }
 
-// Timer is a handle to a scheduled event that can be cancelled. The
-// zero value is a valid no-op handle (Cancel returns false), so
-// hosts can keep Timers by value in per-slot arrays.
+// Timer is a handle to a scheduled event — one scheduled with At, or
+// one pushed on a Lane — that can be cancelled. The zero value is a
+// valid no-op handle (Cancel returns false), so hosts can keep Timers
+// by value in per-slot arrays.
 type Timer struct {
-	s    *Sim
-	slot int32
-	gen  uint32
+	s   *Sim
+	src int32
+	gen uint32
+	// pos is 1 + the event's position in its lane, or 0 for an At
+	// event.
+	pos uint64
 }
 
-// Cancel removes the timer's callback from the event heap in
-// O(log n). Cancelling an already-fired, already-cancelled or zero
-// Timer is a no-op. It reports whether the callback was still
-// pending.
+// Cancel withdraws the timer's event in O(1). The event stays queued
+// and is discarded when it comes due, without running, moving Now or
+// counting in Processed. Cancelling an already-fired,
+// already-cancelled or zero Timer is a no-op. It reports whether the
+// event was still pending.
 func (t Timer) Cancel() bool {
 	s := t.s
-	if s == nil || int(t.slot) >= len(s.slots) {
+	if s == nil || int(t.src) >= len(s.srcs) {
 		return false
 	}
-	sl := &s.slots[t.slot]
-	if sl.gen != t.gen {
-		return false // already fired, cancelled, or slot recycled
+	src := &s.srcs[t.src]
+	if t.pos != 0 {
+		return src.lane.cancel(t.pos - 1)
 	}
-	s.removeAt(int(sl.heapIdx))
-	s.releaseSlot(t.slot)
+	if src.gen != t.gen {
+		return false // already fired, cancelled, or entry recycled
+	}
+	src.fn = nil
+	src.gen++
 	return true
 }
 
-// Pending reports whether the timer's callback has neither fired nor
+// Pending reports whether the timer's event has neither fired nor
 // been cancelled.
 func (t Timer) Pending() bool {
-	return t.s != nil && int(t.slot) < len(t.s.slots) && t.s.slots[t.slot].gen == t.gen
+	s := t.s
+	if s == nil || int(t.src) >= len(s.srcs) {
+		return false
+	}
+	src := &s.srcs[t.src]
+	if t.pos != 0 {
+		return src.lane.pending(t.pos - 1)
+	}
+	return src.gen == t.gen
 }
 
 // At schedules fn to run at absolute virtual time at. Scheduling in
@@ -145,16 +188,15 @@ func (s *Sim) At(at Time, fn func()) Timer {
 		slot = s.free[n-1]
 		s.free = s.free[:n-1]
 	} else {
-		slot = int32(len(s.slots))
-		//switchml:allow hotpath -- handle-table growth: slots are free-listed, so the table stops growing once the event population peaks
-		s.slots = append(s.slots, timerSlot{})
+		slot = int32(len(s.srcs))
+		//switchml:allow hotpath -- handle-table growth: entries are free-listed, so the table stops growing once the event population peaks
+		s.srcs = append(s.srcs, source{})
 	}
-	gen := s.slots[slot].gen
-	//switchml:allow hotpath -- heap growth: the event slice keeps its capacity across pops, so steady state appends within capacity
-	s.events = append(s.events, event{at: at, seq: s.seq, fn: fn, slot: slot})
+	s.srcs[slot].fn = fn
+	gen := s.srcs[slot].gen
+	s.push(key{at: at, seq: s.seq, src: slot})
 	s.seq++
-	s.siftUp(len(s.events) - 1)
-	return Timer{s: s, slot: slot, gen: gen}
+	return Timer{s: s, src: slot, gen: gen}
 }
 
 // After schedules fn to run d after the current time.
@@ -165,30 +207,39 @@ func (s *Sim) After(d Time, fn func()) Timer {
 	return s.At(s.now+d, fn)
 }
 
-// releaseSlot invalidates outstanding handles to the slot and
-// returns it to the free list.
-func (s *Sim) releaseSlot(slot int32) {
-	s.slots[slot].gen++
-	//switchml:allow hotpath -- free-list growth is bounded by the handle table, which stops growing at the event-population peak
-	s.free = append(s.free, slot)
+// addLane registers a lane in the handle table and returns its
+// permanent entry index. Lane entries never come from the free list,
+// so a one-shot Timer can never name one.
+func (s *Sim) addLane(l laneSource) int32 {
+	s.srcs = append(s.srcs, source{lane: l})
+	return int32(len(s.srcs) - 1)
+}
+
+// push inserts a heap key.
+func (s *Sim) push(k key) {
+	//switchml:allow hotpath -- heap growth: the heap keeps its capacity across pops, so steady state appends within capacity
+	s.heap = append(s.heap, k)
+	s.siftUp(len(s.heap) - 1)
+}
+
+// rekeyTop replaces the minimum key's (at, seq) with a later one and
+// restores heap order; lanes advance this way when their head fires.
+func (s *Sim) rekeyTop(at Time, seq uint64) {
+	s.heap[0].at, s.heap[0].seq = at, seq
+	s.siftDown(0)
 }
 
 // less orders heap entries by (at, seq) for FIFO ties.
 func (s *Sim) less(i, j int) bool {
-	if s.events[i].at != s.events[j].at {
-		return s.events[i].at < s.events[j].at
+	if s.heap[i].at != s.heap[j].at {
+		return s.heap[i].at < s.heap[j].at
 	}
-	return s.events[i].seq < s.events[j].seq
+	return s.heap[i].seq < s.heap[j].seq
 }
 
-func (s *Sim) swap(i, j int) {
-	s.events[i], s.events[j] = s.events[j], s.events[i]
-	s.slots[s.events[i].slot].heapIdx = int32(i)
-	s.slots[s.events[j].slot].heapIdx = int32(j)
-}
+func (s *Sim) swap(i, j int) { s.heap[i], s.heap[j] = s.heap[j], s.heap[i] }
 
 func (s *Sim) siftUp(i int) {
-	s.slots[s.events[i].slot].heapIdx = int32(i)
 	for i > 0 {
 		parent := (i - 1) / 2
 		if !s.less(i, parent) {
@@ -200,8 +251,7 @@ func (s *Sim) siftUp(i int) {
 }
 
 func (s *Sim) siftDown(i int) {
-	n := len(s.events)
-	s.slots[s.events[i].slot].heapIdx = int32(i)
+	n := len(s.heap)
 	for {
 		left := 2*i + 1
 		if left >= n {
@@ -219,17 +269,13 @@ func (s *Sim) siftDown(i int) {
 	}
 }
 
-// removeAt deletes the heap entry at index i, restoring heap order.
-func (s *Sim) removeAt(i int) {
-	n := len(s.events) - 1
-	if i != n {
-		s.swap(i, n)
-	}
-	s.events[n].fn = nil // release the closure
-	s.events = s.events[:n]
-	if i < n {
-		s.siftDown(i)
-		s.siftUp(i)
+// pop removes the minimum key, restoring heap order.
+func (s *Sim) pop() {
+	n := len(s.heap) - 1
+	s.heap[0] = s.heap[n]
+	s.heap = s.heap[:n]
+	if n > 0 {
+		s.siftDown(0)
 	}
 }
 
@@ -237,17 +283,38 @@ func (s *Sim) removeAt(i int) {
 // reports whether an event ran.
 //
 //switchml:hotpath
-func (s *Sim) Step() bool {
-	if len(s.events) == 0 {
-		return false
+func (s *Sim) Step() bool { return s.step(Time(math.MaxInt64)) }
+
+// step executes the next pending event if it is due by deadline.
+// Cancelled events met on the way are discarded without running,
+// moving the clock or counting as processed.
+//
+//switchml:hotpath
+func (s *Sim) step(deadline Time) bool {
+	for len(s.heap) > 0 && s.heap[0].at <= deadline {
+		top := s.heap[0]
+		src := &s.srcs[top.src]
+		if src.lane != nil {
+			if src.lane.fire() {
+				return true
+			}
+			continue
+		}
+		s.pop()
+		fn := src.fn
+		//switchml:allow hotpath -- free-list growth is bounded by the handle table, which stops growing at the event-population peak
+		s.free = append(s.free, top.src)
+		if fn == nil {
+			continue // cancelled; Cancel spent its handles
+		}
+		src.fn = nil
+		src.gen++ // spend outstanding handles
+		s.now = top.at
+		s.processed++
+		fn()
+		return true
 	}
-	e := s.events[0]
-	s.removeAt(0)
-	s.releaseSlot(e.slot)
-	s.now = e.at
-	s.processed++
-	e.fn()
-	return true
+	return false
 }
 
 // Run executes events until none remain.
@@ -259,8 +326,7 @@ func (s *Sim) Run() {
 // RunUntil executes events with timestamps <= deadline, then sets the
 // clock to the deadline. Events after the deadline remain queued.
 func (s *Sim) RunUntil(deadline Time) {
-	for len(s.events) > 0 && s.events[0].at <= deadline {
-		s.Step()
+	for s.step(deadline) {
 	}
 	if s.now < deadline {
 		s.now = deadline

@@ -257,6 +257,7 @@ func (p *Packet) SetUpdate(worker uint16, job uint16, ver uint8, idx uint32, off
 	p.Ver = ver
 	p.Idx = idx
 	p.Off = off
+	//switchml:allow hotpath -- guarded grow fallback: a pooled packet's vector reaches SlotElems capacity once, then is reused
 	p.Vector = append(p.Vector[:0], vec...)
 }
 
@@ -282,13 +283,24 @@ func (p *Packet) SetControl(kind Kind, worker uint16, job uint16, off uint64, ve
 	p.Vector = append(p.Vector[:0], vec...)
 }
 
-// Clone returns a deep copy of the packet. The switch clones packets
-// when multicasting so that per-port mutation cannot alias.
+// Clone returns a deep copy of the packet, vector included. Copies
+// are for holders that mutate or recycle a packet someone else still
+// reads: receivers treat results as read-only, so a multicast result
+// is one packet shared by every port, not one clone per port.
 func (p *Packet) Clone() *Packet {
 	q := *p
 	q.Vector = make([]int32, len(p.Vector))
 	copy(q.Vector, p.Vector)
 	return &q
+}
+
+// CopyFrom makes p an independent copy of src, reusing p's vector
+// capacity: with GetPacket, the allocation-free counterpart of Clone.
+func (p *Packet) CopyFrom(src *Packet) {
+	vec := p.Vector
+	*p = *src
+	//switchml:allow hotpath -- guarded grow fallback: a pooled packet's vector reaches SlotElems capacity once, then is reused
+	p.Vector = append(vec[:0], src.Vector...)
 }
 
 // WireSize returns the simulated on-the-wire size in bytes, using the

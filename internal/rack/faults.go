@@ -440,8 +440,11 @@ func (h *WorkerHost) resetWorker() {
 		panic(err)
 	}
 	h.worker = w
-	for i := range h.coreFree {
-		h.coreFree[i] = 0
+	// Fresh run queues: the cores take new work from now on. Jobs
+	// queued before the reset still run at their times from the old
+	// lanes, outside the new queues' order.
+	for c := range h.cores {
+		h.cores[c] = netsim.NewLane(h.sim, h.run)
 	}
 	for i := range h.timers {
 		h.timers[i].Cancel()
@@ -482,8 +485,7 @@ func (h *WorkerHost) Resume(jobID uint16, off uint64) error {
 	}
 	h.finished = false
 	for _, p := range pkts {
-		p := p
-		h.sim.At(h.charge(p.Idx), func() { h.transmit(p, false) })
+		h.enqueue(p.Idx, coreJob{kind: jobSend, p: p})
 	}
 	return nil
 }

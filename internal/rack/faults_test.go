@@ -1,6 +1,7 @@
 package rack
 
 import (
+	"slices"
 	"sync"
 	"testing"
 
@@ -383,6 +384,49 @@ func TestFaultBurstLossRack(t *testing.T) {
 	checkAggregate(t, r, want)
 }
 
+// TestFaultDuplicationRack runs lossy steps with the link duplication
+// fault on every link. The switch recycles each update packet once it
+// has aggregated it, so a duplicate must be an independent copy: were
+// it the same pointer, its second delivery would read a packet the
+// worker already refilled with another chunk. Every worker must hold
+// the exact sum after every step, with duplicates seen by the switch.
+func TestFaultDuplicationRack(t *testing.T) {
+	const workers, d = 4, 12000
+	r, err := NewRack(Config{
+		Workers: workers, LossRecovery: true, Seed: 29,
+		LossRate: 0.01, DupRate: 0.05, RTO: 100 * netsim.Microsecond,
+		// A corrupted slot stalls forever; NoFallback turns the stall
+		// into a prompt ErrSwitchDown instead of a hung test.
+		NoFallback: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for step := 1; step <= 3; step++ {
+		us := make([][]int32, workers)
+		want := make([]int32, d)
+		for w := range us {
+			us[w] = make([]int32, d)
+			for j := range us[w] {
+				us[w][j] = int32((j*(w+1)+step)%97 - 48)
+				want[j] += us[w][j]
+			}
+		}
+		if _, err := r.AllReduce(us); err != nil {
+			t.Fatalf("step %d: %v", step, err)
+		}
+		checkAggregate(t, r, want)
+	}
+	var dups uint64
+	for _, l := range r.linksOf(-1) {
+		dups += l.Stats().Duplicated
+	}
+	if dups == 0 || r.Switch().Stats().IgnoredDuplicates == 0 {
+		t.Errorf("duplication fault idle: %d link duplicates, %d ignored at the switch",
+			dups, r.Switch().Stats().IgnoredDuplicates)
+	}
+}
+
 // TestFaultDeterministicReplay runs the crash scenario twice with the
 // same seed and requires identical timing and results.
 func TestFaultDeterministicReplay(t *testing.T) {
@@ -476,5 +520,38 @@ func TestFaultRejectsWithoutRecovery(t *testing.T) {
 		}},
 	}); err == nil {
 		t.Error("out-of-range crash target accepted")
+	}
+}
+
+// TestFaultRestartDuringCoreBacklog restarts a host while its core
+// still holds queued sends. The restart gives the core a fresh run
+// queue, so the new window starts one PerPacketCost after the restart
+// instead of queueing behind the backlog, and the jobs queued before
+// the crash keep their times, interleaving with the new ones.
+func TestFaultRestartDuringCoreBacklog(t *testing.T) {
+	const us = netsim.Microsecond
+	sim := netsim.NewSim(0)
+	h, err := NewWorkerHost(sim, Config{
+		Workers: 2, PoolSize: 4, SlotElems: 4, Cores: 1, PerPacketCost: us,
+		RTO: netsim.Second, LossRecovery: true,
+	}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sent []netsim.Time
+	// A link this fast serializes a packet in under a nanosecond, so
+	// each arrival is stamped with its send time.
+	h.SetUplink(netsim.NewLink(sim, netsim.LinkConfig{Name: "up", BitsPerSec: 1e18},
+		netsim.NodeFunc(func(netsim.Message) { sent = append(sent, sim.Now()) })))
+	u := make([]int32, 16) // four chunks: one window of four sends
+	h.Start(u, func(netsim.Time) {})
+	sim.RunUntil(1500 * netsim.Nanosecond) // one send out, three queued
+	h.Crash()
+	h.Restart()
+	h.Start(u, func(netsim.Time) {})
+	sim.RunUntil(10 * us)
+	want := []netsim.Time{1000, 2000, 2500, 3000, 3500, 4000, 4500, 5500}
+	if !slices.Equal(sent, want) {
+		t.Errorf("sends at %v, want %v", sent, want)
 	}
 }

@@ -13,6 +13,7 @@ package rack
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"switchml/internal/allreduce"
 	"switchml/internal/core"
@@ -715,6 +716,20 @@ type switchNode struct {
 	// peerDst, when set by the health monitor, maps a fallback ring
 	// rank to its host's downlink for crossbar forwarding.
 	peerDst func(rank int) *netsim.Link
+	// pipeline releases messages SwitchLatency after they arrive.
+	// detour carries responses from a standby rung, which pay the
+	// extra hops both ways; a fixed delay per lane keeps each lane in
+	// time order.
+	pipeline, detour *netsim.Lane[egress]
+}
+
+// egress is one message leaving the switch pipeline: for dl, or
+// multicast to every downlink when dl is nil. A multicast result is
+// one packet shared read-only by every port — receivers only read
+// results, so there is nothing to copy.
+type egress struct {
+	msg netsim.Message
+	dl  *netsim.Link
 }
 
 func newSwitchNode(sim *netsim.Sim, cfg Config) (*switchNode, error) {
@@ -747,7 +762,22 @@ func newSwitchNode(sim *netsim.Sim, cfg Config) (*switchNode, error) {
 		n.standbys = append(n.standbys, sb)
 	}
 	n.sbDown = make([]bool, cfg.StandbySwitches)
+	n.pipeline = netsim.NewLane(sim, n.emit)
+	n.detour = netsim.NewLane(sim, n.emit)
 	return n, nil
+}
+
+// emit puts a message that cleared the pipeline on the wire.
+//
+//switchml:hotpath
+func (s *switchNode) emit(e egress) {
+	if e.dl != nil {
+		e.dl.Send(e.msg)
+		return
+	}
+	for _, dl := range s.downlinks {
+		dl.Send(e.msg)
+	}
 }
 
 // prog returns the ladder rung's aggregation program (0 = primary).
@@ -783,7 +813,7 @@ func (s *switchNode) Deliver(msg netsim.Message) {
 		if dl == nil {
 			return
 		}
-		s.sim.After(s.cfg.SwitchLatency, func() { dl.Send(msg) })
+		s.pipeline.Push(s.sim.Now()+s.cfg.SwitchLatency, egress{msg: msg, dl: dl})
 		return
 	}
 	p := msg.(*packet.Packet)
@@ -798,7 +828,7 @@ func (s *switchNode) Deliver(msg netsim.Message) {
 		}
 		ack := packet.NewControl(packet.KindProbeAck, p.WorkerID, p.JobID, 0, nil)
 		ack.Idx = p.Idx
-		s.sim.After(s.cfg.SwitchLatency, func() { s.downlinks[ack.WorkerID].Send(ack) })
+		s.pipeline.Push(s.sim.Now()+s.cfg.SwitchLatency, egress{msg: ack, dl: s.downlinks[ack.WorkerID]})
 		return
 	}
 	home := s.home
@@ -806,24 +836,40 @@ func (s *switchNode) Deliver(msg netsim.Message) {
 		return
 	}
 	resp := s.prog(home).Handle(p)
+	// Handle keeps nothing of the update, and a duplicated delivery is
+	// an independent copy (see Copy), so the packet goes back to the
+	// pool the worker took it from.
+	packet.PutPacket(p)
 	if resp.Pkt == nil {
 		return
 	}
-	delay := s.cfg.SwitchLatency
+	e := egress{msg: resp.Pkt}
+	if !resp.Multicast {
+		e.dl = s.downlinks[resp.Pkt.WorkerID]
+	}
 	if home != 0 {
 		// The detour through the standby rung: extra hops on the way
 		// in and on the way back out.
-		delay += 2 * s.cfg.StandbyLatency
+		s.detour.Push(s.sim.Now()+s.cfg.SwitchLatency+2*s.cfg.StandbyLatency, e)
+		return
 	}
-	s.sim.After(delay, func() {
-		if resp.Multicast {
-			for _, dl := range s.downlinks {
-				dl.Send(resp.Pkt.Clone())
-			}
-			return
-		}
-		s.downlinks[resp.Pkt.WorkerID].Send(resp.Pkt)
-	})
+	s.pipeline.Push(s.sim.Now()+s.cfg.SwitchLatency, e)
+}
+
+// Copy implements netsim.Copier. Deliver recycles every update
+// packet, so the uplinks' duplication fault must deliver a copy from
+// the pool as the second arrival; fallback bursts are not recycled and
+// travel as they are.
+//
+//switchml:hotpath
+func (s *switchNode) Copy(msg netsim.Message) netsim.Message {
+	p, ok := msg.(*packet.Packet)
+	if !ok {
+		return msg
+	}
+	d := packet.GetPacket()
+	d.CopyFrom(p)
+	return d
 }
 
 // WorkerHost adapts core.Worker to netsim: it owns the uplink,
@@ -833,13 +879,25 @@ type WorkerHost struct {
 	cfg    Config
 	worker *core.Worker
 	uplink *netsim.Link
-	// coreFree[c] is when virtual core c next becomes idle. Slots are
-	// sharded to cores by idx % Cores, mirroring Flow Director
-	// steering with disjoint slot sets per core (Appendix B).
-	coreFree []netsim.Time
+	// actor names the host in trace events.
+	actor string
+	// cores[c] is virtual core c's run queue; its last push is when the
+	// core next becomes idle. Slots are sharded to cores by
+	// idx % Cores, mirroring Flow Director steering with disjoint slot
+	// sets per core (Appendix B).
+	cores []*netsim.Lane[coreJob]
 	// timers holds the per-slot retransmission timer; the zero Timer
 	// means none armed.
 	timers []netsim.Timer
+	// rtoLanes[b] holds the timers armed at backoff level b. With a
+	// fixed RTO every timer of a level has the same timeout, so its
+	// deadlines arrive in time order.
+	rtoLanes [maxBackoff + 1]*netsim.Lane[uint32]
+	// expire[idx] fires slot idx's timer from the ordered path, for
+	// AdaptiveRTO deadlines that fall before their level's lane tail;
+	// built once, so re-arming allocates nothing. Nil without
+	// AdaptiveRTO.
+	expire []func()
 	// backoff counts consecutive timeouts per slot; the RTO doubles
 	// with each (capped), preventing retransmission storms when the
 	// timeout is set below the loaded RTT — the adaptation §6 calls
@@ -890,6 +948,31 @@ type WorkerHost struct {
 	onStall func(worker uint16)
 }
 
+// maxBackoff caps the per-slot exponential backoff: the RTO doubles
+// at most this many times.
+const maxBackoff = 6
+
+// coreJob is one packet's worth of work queued on a virtual core.
+type coreJob struct {
+	kind coreJobKind
+	// p is the update to transmit (jobSend) or the result to process
+	// (jobResult).
+	p *packet.Packet
+	// idx is the slot to retransmit (jobRetransmit).
+	idx uint32
+}
+
+type coreJobKind uint8
+
+const (
+	// jobSend transmits an update from the initial or resumed window.
+	jobSend coreJobKind = iota
+	// jobRetransmit rebuilds a timed-out slot's update and resends it.
+	jobRetransmit
+	// jobResult processes a result from the switch.
+	jobResult
+)
+
 // stallLimit is the consecutive-timeout budget per slot under
 // NoFallback. Reaching it with exponential backoff means the switch
 // answered nothing for over a hundred RTOs on one chunk: loss cannot
@@ -911,16 +994,30 @@ func NewWorkerHost(sim *netsim.Sim, cfg Config, id uint16) (*WorkerHost, error) 
 		return nil, err
 	}
 	h := &WorkerHost{
-		sim:      sim,
-		cfg:      cfg,
-		worker:   w,
-		wcfg:     wcfg,
-		coreFree: make([]netsim.Time, cfg.Cores),
-		timers:   make([]netsim.Timer, cfg.PoolSize),
-		backoff:  make([]uint8, cfg.PoolSize),
-		sentAt:   make([]netsim.Time, cfg.PoolSize),
-		retxed:   make([]bool, cfg.PoolSize),
-		stall:    make([]uint8, cfg.PoolSize),
+		sim:     sim,
+		cfg:     cfg,
+		worker:  w,
+		actor:   fmt.Sprintf("w%d", id),
+		wcfg:    wcfg,
+		cores:   make([]*netsim.Lane[coreJob], cfg.Cores),
+		timers:  make([]netsim.Timer, cfg.PoolSize),
+		backoff: make([]uint8, cfg.PoolSize),
+		sentAt:  make([]netsim.Time, cfg.PoolSize),
+		retxed:  make([]bool, cfg.PoolSize),
+		stall:   make([]uint8, cfg.PoolSize),
+	}
+	for c := range h.cores {
+		h.cores[c] = netsim.NewLane(sim, h.run)
+	}
+	for b := range h.rtoLanes {
+		h.rtoLanes[b] = netsim.NewLane(sim, h.timeout)
+	}
+	if cfg.AdaptiveRTO {
+		h.expire = make([]func(), cfg.PoolSize)
+		for i := range h.expire {
+			idx := uint32(i)
+			h.expire[i] = func() { h.timeout(idx) }
+		}
 	}
 	if cfg.Metrics != nil {
 		h.rttHist = cfg.Metrics.Histogram("rack_rtt_ns", telemetry.LatencyBuckets)
@@ -935,27 +1032,41 @@ func (h *WorkerHost) trace(t telemetry.EventType, idx int32, off int64) {
 		return
 	}
 	e := telemetry.Ev(t, int64(h.sim.Now()))
-	e.Actor = fmt.Sprintf("w%d", h.worker.Config().ID)
+	e.Actor = h.actor
 	e.Worker = int32(h.worker.Config().ID)
 	e.Slot = idx
 	e.Off = off
 	h.cfg.Tracer.Emit(e)
 }
 
-// core returns the virtual core owning a slot.
-func (h *WorkerHost) coreOf(idx uint32) int { return int(idx) % h.cfg.Cores }
-
-// charge occupies the slot's core for one packet's processing and
-// returns the completion time.
-func (h *WorkerHost) charge(idx uint32) netsim.Time {
-	c := h.coreOf(idx)
-	start := h.coreFree[c]
+// enqueue queues one packet's processing on the core owning slot idx:
+// it starts when the core frees up and occupies it for PerPacketCost.
+//
+//switchml:hotpath
+func (h *WorkerHost) enqueue(idx uint32, j coreJob) {
+	c := h.cores[int(idx)%h.cfg.Cores]
+	start := c.Last()
 	if now := h.sim.Now(); start < now {
 		start = now
 	}
-	done := start + h.cfg.PerPacketCost
-	h.coreFree[c] = done
-	return done
+	c.Push(start+h.cfg.PerPacketCost, j)
+}
+
+// run executes a core job once the core has spent its processing time
+// on it.
+//
+//switchml:hotpath
+func (h *WorkerHost) run(j coreJob) {
+	switch j.kind {
+	case jobSend:
+		h.transmit(j.p, false)
+	case jobRetransmit:
+		if rt := h.worker.Retransmit(j.idx); rt != nil {
+			h.transmit(rt, true)
+		}
+	case jobResult:
+		h.handleResult(j.p)
+	}
 }
 
 // SetUplink attaches the host's transmit link; it must be called
@@ -973,10 +1084,15 @@ func (h *WorkerHost) Start(u []int32, onDone func(netsim.Time)) {
 	h.finished = false
 	if h.cfg.Tracer != nil {
 		e := telemetry.Ev(telemetry.EvTensorStart, int64(h.sim.Now()))
-		e.Actor = fmt.Sprintf("w%d", h.worker.Config().ID)
+		e.Actor = h.actor
 		e.Worker = int32(h.worker.Config().ID)
 		e.Size = int32(4 * len(u))
 		h.cfg.Tracer.Emit(e)
+	}
+	if h.cfg.SampleRTT && h.worker.Config().ID == 0 {
+		// One sample per chunk, reserved up front so sampling does not
+		// grow the slice on the receive path.
+		h.rtts = slices.Grow(h.rtts, (len(u)+h.cfg.SlotElems-1)/h.cfg.SlotElems)
 	}
 	pkts := h.worker.Start(u)
 	if len(pkts) == 0 {
@@ -990,8 +1106,7 @@ func (h *WorkerHost) Start(u []int32, onDone func(netsim.Time)) {
 		return
 	}
 	for _, p := range pkts {
-		p := p
-		h.sim.At(h.charge(p.Idx), func() { h.transmit(p, false) })
+		h.enqueue(p.Idx, coreJob{kind: jobSend, p: p})
 	}
 }
 
@@ -1010,42 +1125,49 @@ func (h *WorkerHost) transmit(p *packet.Packet, retransmit bool) {
 	h.armTimer(p.Idx)
 }
 
+//switchml:hotpath
 func (h *WorkerHost) armTimer(idx uint32) {
 	h.timers[idx].Cancel()
-	rto := h.rto() << h.backoff[idx]
-	h.timers[idx] = h.sim.After(rto, func() {
-		h.timers[idx] = netsim.Timer{}
-		if !h.worker.Pending(idx) {
+	b := h.backoff[idx]
+	at := h.sim.Now() + h.rto()<<b
+	if l := h.rtoLanes[b]; at >= l.Last() {
+		h.timers[idx] = l.Push(at, idx)
+		return
+	}
+	// AdaptiveRTO shrank the timeout below a deadline already queued at
+	// this level; the ordered path takes any deadline.
+	h.timers[idx] = h.sim.At(at, h.expire[idx])
+}
+
+// timeout handles an expired retransmission timer for slot idx.
+//
+//switchml:hotpath
+func (h *WorkerHost) timeout(idx uint32) {
+	h.timers[idx] = netsim.Timer{}
+	if !h.worker.Pending(idx) {
+		return
+	}
+	h.trace(telemetry.EvTimeoutFired, int32(idx), -1)
+	if h.backoff[idx] < maxBackoff {
+		h.backoff[idx]++
+	}
+	if h.cfg.NoFallback {
+		if h.stall[idx]++; h.stall[idx] >= stallLimit {
+			// Fallback was declined; abandon the step so the
+			// simulation drains and the caller gets the typed error.
+			h.cancelTimers()
+			if h.onStall != nil {
+				h.onStall(h.wcfg.ID)
+			}
 			return
 		}
-		h.trace(telemetry.EvTimeoutFired, int32(idx), -1)
-		if h.backoff[idx] < 6 {
-			h.backoff[idx]++
-		}
-		if h.cfg.NoFallback {
-			if h.stall[idx]++; h.stall[idx] >= stallLimit {
-				// Fallback was declined; abandon the step so the
-				// simulation drains and the caller gets the typed error.
-				h.cancelTimers()
-				if h.onStall != nil {
-					h.onStall(h.wcfg.ID)
-				}
-				return
-			}
-		}
-		// Build the retransmission at transmit time, not at timer-fire
-		// time: the slot's core may still hold an unprocessed result
-		// that advances the slot before the CPU frees up, and a stale
-		// snapshot would then reach the wire *after* the next-phase
-		// update, violating the FIFO ordering the protocol relies on.
-		h.sim.At(h.charge(idx), func() {
-			rt := h.worker.Retransmit(idx)
-			if rt == nil {
-				return
-			}
-			h.transmit(rt, true)
-		})
-	})
+	}
+	// Build the retransmission at transmit time, not at timer-fire
+	// time: the slot's core may still hold an unprocessed result that
+	// advances the slot before the CPU frees up, and a stale snapshot
+	// would then reach the wire *after* the next-phase update,
+	// violating the FIFO ordering the protocol relies on.
+	h.enqueue(idx, coreJob{kind: jobRetransmit, idx: idx})
 }
 
 // rto returns the base retransmission timeout, adapted to the
@@ -1090,7 +1212,7 @@ func (h *WorkerHost) startHosted(u []int32, onDone func(netsim.Time)) {
 	h.finished = false
 	if h.cfg.Tracer != nil {
 		e := telemetry.Ev(telemetry.EvTensorStart, int64(h.sim.Now()))
-		e.Actor = fmt.Sprintf("w%d", h.worker.Config().ID)
+		e.Actor = h.actor
 		e.Worker = int32(h.worker.Config().ID)
 		e.Size = int32(4 * len(u))
 		h.cfg.Tracer.Emit(e)
@@ -1141,46 +1263,51 @@ func (h *WorkerHost) Deliver(msg netsim.Message) {
 	if h.observe != nil {
 		h.observe()
 	}
-	done := h.charge(p.Idx)
-	h.sim.At(done, func() {
-		if h.crashed {
-			return
+	h.enqueue(p.Idx, coreJob{kind: jobResult, p: p})
+}
+
+// handleResult processes a result packet once its core has spent the
+// per-packet cost on it.
+//
+//switchml:hotpath
+func (h *WorkerHost) handleResult(p *packet.Packet) {
+	if h.crashed {
+		return
+	}
+	next, finished := h.worker.HandleResult(p)
+	if next == nil && !finished && h.worker.Pending(p.Idx) {
+		// Stale result: the slot is still in flight; leave the timer
+		// armed.
+		return
+	}
+	h.timers[p.Idx].Cancel()
+	h.timers[p.Idx] = netsim.Timer{}
+	h.backoff[p.Idx] = 0
+	h.stall[p.Idx] = 0
+	if sample := h.sim.Now() - h.sentAt[p.Idx]; true {
+		if h.cfg.AdaptiveRTO && !h.retxed[p.Idx] {
+			// Karn's rule: only unambiguous samples train the
+			// estimator.
+			h.observeRTT(sample)
 		}
-		next, finished := h.worker.HandleResult(p)
-		if next == nil && !finished && h.worker.Pending(p.Idx) {
-			// Stale result: the slot is still in flight; leave the
-			// timer armed.
-			return
+		if h.rttHist != nil && !h.retxed[p.Idx] {
+			h.rttHist.Observe(float64(sample))
 		}
-		h.timers[p.Idx].Cancel()
-		h.timers[p.Idx] = netsim.Timer{}
-		h.backoff[p.Idx] = 0
-		h.stall[p.Idx] = 0
-		if sample := h.sim.Now() - h.sentAt[p.Idx]; true {
-			if h.cfg.AdaptiveRTO && !h.retxed[p.Idx] {
-				// Karn's rule: only unambiguous samples train the
-				// estimator.
-				h.observeRTT(sample)
-			}
-			if h.rttHist != nil && !h.retxed[p.Idx] {
-				h.rttHist.Observe(float64(sample))
-			}
-			if h.cfg.SampleRTT && h.worker.Config().ID == 0 {
-				h.rtts = append(h.rtts, sample)
-			}
+		if h.cfg.SampleRTT && h.worker.Config().ID == 0 {
+			//switchml:allow hotpath -- capacity growth: Start reserves one sample per chunk, so only a recovery resume that re-completes chunks grows it
+			h.rtts = append(h.rtts, sample)
 		}
-		if next != nil {
-			// Self-clocked follow-up (Algorithm 4 line 17); the CPU
-			// charge for the receive covers the run-to-completion
-			// send.
-			h.transmit(next, false)
+	}
+	if next != nil {
+		// Self-clocked follow-up (Algorithm 4 line 17); the CPU charge
+		// for the receive covers the run-to-completion send.
+		h.transmit(next, false)
+	}
+	if finished {
+		h.finished = true
+		h.trace(telemetry.EvTensorDone, -1, -1)
+		if h.onDone != nil {
+			h.onDone(h.sim.Now())
 		}
-		if finished {
-			h.finished = true
-			h.trace(telemetry.EvTensorDone, -1, -1)
-			if h.onDone != nil {
-				h.onDone(h.sim.Now())
-			}
-		}
-	})
+	}
 }
