@@ -3,19 +3,23 @@
 # suite, and the race detector over every package with real
 # concurrency — the UDP transport, the telemetry registry, the rack
 # host timers, the sharded aggregation core, the event scheduler and
-# the public session/cluster API. CI and pre-commit should run
-# `make check`.
+# the public session/cluster API — plus a rerun of the UDP suites in
+# netio's portable mode. CI and pre-commit should run `make check`.
 
 GO ?= go
+
+# Packages whose UDP traffic goes through internal/netio; the portable
+# target reruns their tests in netio's one-datagram-per-syscall mode.
+PORTABLE_PKGS = ./internal/transport ./internal/netio .
 
 # Packages whose tests exercise concurrent goroutines against shared
 # state; they must stay clean under the race detector.
 RACE_PKGS = ./internal/transport ./internal/telemetry ./internal/rack \
 	./internal/core ./internal/netsim ./internal/netio .
 
-.PHONY: check vet lint lint-one lint-allows lint-sarif build test race chaos fuzz bench bench-smoke bench-golden top-smoke flight-check elastic-smoke failover-smoke examples clean
+.PHONY: check vet lint lint-one lint-allows lint-sarif build test race portable chaos fuzz bench bench-smoke bench-golden top-smoke flight-check elastic-smoke failover-smoke examples clean
 
-check: vet lint build test race chaos bench-smoke bench-golden top-smoke flight-check elastic-smoke failover-smoke
+check: vet lint build test race portable chaos bench-smoke bench-golden top-smoke flight-check elastic-smoke failover-smoke
 
 vet:
 	$(GO) vet ./...
@@ -50,6 +54,13 @@ test:
 
 race:
 	$(GO) test -race $(RACE_PKGS)
+
+# Portable-I/O gate: the same suites with the Linux mmsg/GSO fast paths
+# forced off. Portable mode is the only one-datagram-per-syscall path
+# and the reference leg of TestBatchedUnbatchedEquivalence, so it must
+# stay green on hosts where the fast paths are available too.
+portable:
+	SWITCHML_NO_MMSG=1 $(GO) test $(PORTABLE_PKGS)
 
 # Chaos gate: every fault-injection and recovery test (worker crash,
 # switch restart, switch kill with fallback/failback, burst loss,

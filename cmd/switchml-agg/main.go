@@ -69,9 +69,7 @@ func main() {
 	latePolicy := flag.String("late-policy", "drop",
 		"fate of straggler updates arriving after quorum completion: drop or reconcile")
 	batch := flag.Int("batch", 0,
-		"per-shard I/O burst ceiling: datagrams per recvmmsg/sendmmsg (0 = 32, 1 = legacy per-packet syscalls)")
-	busyPoll := flag.Bool("busy-poll", false,
-		"spin briefly on an empty socket before parking in the poller (lower latency, more CPU)")
+		"per-shard I/O burst ceiling: datagrams per recvmmsg/sendmmsg (0 = 32; SWITCHML_NO_MMSG=1 forces one datagram per syscall)")
 	downAfter := flag.Duration("down-after", 0,
 		"failover drill: this long after startup, silently drop every datagram as a dead switch program would (0 = never; single-pool mode)")
 	downFor := flag.Duration("down-for", 0,
@@ -84,7 +82,6 @@ func main() {
 		SlotElems: *elems,
 		Quorum:    *quorum,
 		Batch:     *batch,
-		BusyPoll:  *busyPoll,
 	}
 	switch *latePolicy {
 	case "drop":

@@ -362,6 +362,7 @@ func main() {
 		}
 	}
 	if rec != nil {
+		// Dumped waits for incident files still being written.
 		dumps, err := rec.Dumped()
 		if err != nil {
 			log.Fatalf("flight recorder: %v", err)

@@ -77,9 +77,7 @@ func main() {
 	verify := flag.Bool("verify", true,
 		"check the first aggregated element against the full-membership sum (disable in elastic jobs, where membership churn changes the expected sums)")
 	batch := flag.Int("batch", 0,
-		"I/O burst ceiling: datagrams per batched send/receive syscall (0 = 32, 1 = legacy per-packet syscalls)")
-	busyPoll := flag.Bool("busy-poll", false,
-		"spin briefly on an empty socket before parking in the poller (lower latency, more CPU)")
+		"I/O burst ceiling: datagrams per batched send/receive syscall (0 = 32; SWITCHML_NO_MMSG=1 forces one datagram per syscall)")
 	injectDrop := flag.Float64("inject-drop", 0,
 		"chaos: per-datagram drop probability applied to outgoing updates (loopback never drops on its own)")
 	injectBurst := flag.String("inject-burst", "",
@@ -104,7 +102,6 @@ func main() {
 		Heartbeat:   *heartbeat,
 		AdaptiveRTO: *adaptiveRTO,
 		Batch:       *batch,
-		BusyPoll:    *busyPoll,
 	}
 	if *flightDir != "" {
 		params.Flight = &switchml.FlightParams{Dir: *flightDir}

@@ -286,12 +286,13 @@ func RunHotpath(o Options) (*Table, error) {
 	}
 
 	// Batched UDP I/O: a real aggregator and W workers over loopback
-	// sockets running the identical seeded job, once with the legacy
-	// per-packet loops (batch=1: one recvfrom and one sendto per
-	// datagram) and once with the batched run-to-completion loops
-	// (recvmmsg/sendmmsg bursts, GSO trains where the kernel offers
-	// them). Ops counts worker update datagrams, so Mpkt/s is the
-	// aggregation ingest rate.
+	// sockets running the identical seeded job, once with netio at
+	// burst ceiling 1 (one datagram per wakeup and per flush, in
+	// whatever mode the host selects) and once at the default burst
+	// ceiling (recvmmsg/sendmmsg bursts, GSO trains where the kernel
+	// offers them). The one-datagram-per-syscall baseline is the same
+	// run under SWITCHML_NO_MMSG=1. Ops counts worker update
+	// datagrams, so Mpkt/s is the aggregation ingest rate.
 	udpElems := 65536 / o.Scale
 	if udpElems < 2048 {
 		udpElems = 2048
@@ -406,7 +407,7 @@ func RunHotpath(o Options) (*Table, error) {
 			"pooled paths reuse caller storage (AppendMarshal/UnmarshalInto/HandleInto); alloc paths are the pre-refactor per-packet allocations",
 			"cycle/* is the aggregator datagram loop without the socket: build, marshal, unmarshal, aggregate, marshal reply",
 			"sharded/dispatch-Ng runs N handler goroutines over disjoint slot stripes (idx mod N); speedup above 1g requires num_cpu > 1",
-			fmt.Sprintf("udp/agg-* is the full AllReduce over loopback sockets, %d workers x %d rounds x %d-element tensors, 4 aggregator shards; unbatched = per-packet syscalls, batched = net_mode %q at batch %d (occupancy p50 %.1f, p99 %.1f datagrams/wakeup)",
+			fmt.Sprintf("udp/agg-* is the full AllReduce over loopback sockets, %d workers x %d rounds x %d-element tensors, 4 aggregator shards; unbatched = netio at burst ceiling 1, batched = net_mode %q at batch %d (occupancy p50 %.1f, p99 %.1f datagrams/wakeup)",
 				udpWorkers, udpRounds, udpElems, batSt.NetMode, batSt.Batch,
 				batSt.BatchOccupancyP50, batSt.BatchOccupancyP99),
 		},

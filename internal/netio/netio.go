@@ -81,11 +81,6 @@ const (
 	// maxTrainSegs is the kernel's UDP_MAX_SEGMENTS: one GSO send may
 	// carry at most 64 segments, and GRO coalesces at most the same.
 	maxTrainSegs = 64
-	// spinBudget bounds the busy-poll option: on an empty socket the
-	// receive callback yields-and-retries this many times before
-	// falling back to parking in the netpoller, so a busy-polling
-	// shard can never wedge a deadline or starve the scheduler.
-	spinBudget = 128
 )
 
 // ErrPayloadTooLarge reports an Append of a datagram larger than the
@@ -112,10 +107,6 @@ type Config struct {
 	// buffers in GSO mode are always 64 KiB — a coalesced train is one
 	// large "datagram" at the socket API.
 	MTU int
-	// BusyPoll spins briefly on an empty socket before parking in the
-	// netpoller, trading CPU for latency. The spin is bounded
-	// (spinBudget yields), so deadlines and shutdown still work.
-	BusyPoll bool
 	// OnSendError observes failed or dropped sends: one call per
 	// failed send entry, carrying the number of datagrams it covered
 	// (a segment train fails as a unit). UDP sends are best-effort

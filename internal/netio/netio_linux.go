@@ -6,7 +6,6 @@ import (
 	"net"
 	"net/netip"
 	"os"
-	"runtime"
 	"syscall"
 	"time"
 	"unsafe"
@@ -171,10 +170,6 @@ func (c *Conn) buildArenas() {
 	}
 
 	p.recvFn = func(fd uintptr) bool {
-		spins := 0
-		if c.cfg.BusyPoll {
-			spins = spinBudget
-		}
 		for {
 			n, _, e := syscall.Syscall6(sysRecvmmsg, fd,
 				uintptr(unsafe.Pointer(&p.rhdrs[0])), uintptr(len(p.rhdrs)),
@@ -183,11 +178,6 @@ func (c *Conn) buildArenas() {
 			case syscall.EINTR:
 				continue
 			case syscall.EAGAIN:
-				if spins > 0 {
-					spins--
-					runtime.Gosched()
-					continue
-				}
 				return false // park in the netpoller until readable
 			}
 			p.rn, p.rerrno = int(n), e

@@ -56,9 +56,11 @@ type FlightConfig struct {
 	// State, when non-nil, is invoked at dump time and embedded as the
 	// incident's deep state (per-slot pool occupancy, shard loads). It
 	// runs synchronously inside Emit for trigger dumps, so it must not
-	// take locks held around trace emission.
+	// take locks held around trace emission, and it must return a
+	// value the file writer can encode after Emit returns.
 	State func() any
-	// OnDump, when non-nil, observes every file dump attempt.
+	// OnDump, when non-nil, observes every file dump attempt. It runs
+	// on the writer goroutine, after the file is written.
 	OnDump func(path string, err error)
 }
 
@@ -89,7 +91,9 @@ type Incident struct {
 // FlightRecorder is a Tracer that continuously records the last N
 // events and turns fault transitions into incident files. Wire it
 // into a Fanout alongside the normal trace consumers; it is safe for
-// concurrent use.
+// concurrent use. Incidents are built inline but encoded and written
+// off the emitting goroutine, so a dump never stalls the emitter on
+// disk I/O; Dumped and Close wait for the queued writes.
 type FlightRecorder struct {
 	cfg  FlightConfig
 	ring *Ring
@@ -102,6 +106,10 @@ type FlightRecorder struct {
 	lastDump int64
 	dumped   uint64
 	lastErr  error
+	// written is closed once the most recently queued file write has
+	// finished. Each write waits for its predecessor's channel, so
+	// files land in dump order (the last dump wins in Path mode).
+	written chan struct{}
 }
 
 // NewFlightRecorder arms a recorder. The metric baseline is taken
@@ -110,7 +118,8 @@ func NewFlightRecorder(cfg FlightConfig) *FlightRecorder {
 	if cfg.Capacity <= 0 {
 		cfg.Capacity = 4096
 	}
-	fr := &FlightRecorder{cfg: cfg, ring: NewRing(cfg.Capacity)}
+	fr := &FlightRecorder{cfg: cfg, ring: NewRing(cfg.Capacity), written: make(chan struct{})}
+	close(fr.written)
 	triggers := cfg.Triggers
 	if triggers == nil {
 		triggers = DefaultTriggers
@@ -134,10 +143,11 @@ func (fr *FlightRecorder) SetState(fn func() any) {
 	fr.mu.Unlock()
 }
 
-// Emit implements Tracer: record the event, and synchronously dump an
-// incident when it is a trigger. Dumping inline (not in a goroutine)
-// keeps single-threaded emitters — the simulator event loop — safe to
-// introspect from the State hook.
+// Emit implements Tracer: record the event, and dump an incident when
+// it is a trigger. The incident is built inline (not in a goroutine),
+// which keeps single-threaded emitters — the simulator event loop —
+// safe to introspect from the State hook; only the file write is
+// queued.
 func (fr *FlightRecorder) Emit(e Event) {
 	fr.ring.Emit(e)
 	if !fr.trig[e.Type] {
@@ -160,24 +170,38 @@ func (fr *FlightRecorder) Incident(reason string) Incident {
 	return fr.incidentLocked(reason, nil, false)
 }
 
-// Dump writes an on-demand incident file and returns its path.
+// Dump writes an on-demand incident file and returns its path once
+// it is on disk.
 func (fr *FlightRecorder) Dump(reason string) (string, error) {
 	fr.mu.Lock()
-	defer fr.mu.Unlock()
 	inc := fr.incidentLocked(reason, nil, true)
 	fr.dump(inc)
-	if fr.lastErr != nil {
-		return "", fr.lastErr
+	fr.mu.Unlock()
+	if _, err := fr.Dumped(); err != nil {
+		return "", err
 	}
 	return fr.path(inc), nil
 }
 
-// Dumped reports how many incidents were written and the last write
-// error, if any.
+// Dumped waits for every queued incident write, then reports how many
+// incidents were dumped and the last write error, if any.
 func (fr *FlightRecorder) Dumped() (uint64, error) {
+	fr.mu.Lock()
+	written := fr.written
+	fr.mu.Unlock()
+	<-written
 	fr.mu.Lock()
 	defer fr.mu.Unlock()
 	return fr.dumped, fr.lastErr
+}
+
+// Close waits for every queued incident write and returns the last
+// write error. The recorder holds nothing else, so it stays usable;
+// owners call Close before they return so no incident is left
+// unwritten.
+func (fr *FlightRecorder) Close() error {
+	_, err := fr.Dumped()
+	return err
 }
 
 // Ring exposes the underlying event ring (for trace exports that want
@@ -237,8 +261,8 @@ func (fr *FlightRecorder) path(inc Incident) string {
 	return filepath.Join(fr.cfg.Dir, fmt.Sprintf("%s%03d-%s.json", prefix, inc.Seq, inc.Reason))
 }
 
-// dump writes one incident file if file output is configured; fr.mu
-// must be held.
+// dump counts one incident and, if file output is configured, queues
+// its write behind the previous one; fr.mu must be held.
 func (fr *FlightRecorder) dump(inc Incident) {
 	fr.seq++
 	fr.lastDump = inc.TS
@@ -246,9 +270,20 @@ func (fr *FlightRecorder) dump(inc Incident) {
 	if fr.cfg.Path == "" && fr.cfg.Dir == "" {
 		return
 	}
-	path := fr.path(inc)
+	prev, done := fr.written, make(chan struct{})
+	fr.written = done
+	go fr.write(prev, done, fr.path(inc), inc)
+}
+
+// write encodes and writes one incident file once the previous queued
+// write has finished, then records its outcome.
+func (fr *FlightRecorder) write(prev <-chan struct{}, done chan<- struct{}, path string, inc Incident) {
+	defer close(done)
+	<-prev
 	err := writeIncident(path, inc)
+	fr.mu.Lock()
 	fr.lastErr = err
+	fr.mu.Unlock()
 	if fr.cfg.OnDump != nil {
 		fr.cfg.OnDump(path, err)
 	}

@@ -294,6 +294,7 @@ func TestFlightRecorderPathMode(t *testing.T) {
 	fr := NewFlightRecorder(FlightConfig{Capacity: 8, Path: path})
 	fr.Emit(Ev(EvDegrade, 1))
 	fr.Emit(Ev(EvFailback, 2))
+	fr.Dumped() // wait for the queued writes
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)

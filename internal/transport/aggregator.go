@@ -47,25 +47,21 @@ type AggregatorConfig struct {
 	// Shards is the number of receive goroutines draining the socket,
 	// the software analogue of the paper's Flow Director steering
 	// (Appendix B: "every CPU core ... uses a disjoint set of
-	// aggregation slots"). Zero selects 4. With batching enabled each
-	// shard owns its own SO_REUSEPORT socket where the platform
-	// allows, so the kernel itself steers each worker flow to exactly
-	// one shard; otherwise the shards share one socket. Per-slot
-	// locking inside the sharded switch keeps concurrent handling
-	// correct no matter which goroutine a packet lands on.
+	// aggregation slots"). Zero selects 4. Each shard owns its own
+	// SO_REUSEPORT socket where the platform allows, so the kernel
+	// itself steers each worker flow to exactly one shard; otherwise
+	// the shards share one socket. Per-slot locking inside the sharded
+	// switch keeps concurrent handling correct no matter which
+	// goroutine a packet lands on.
 	Shards int
 	// Batch is the per-shard burst ceiling: each shard reads up to
 	// Batch datagrams per wakeup (one recvmmsg on Linux), runs every
 	// packet to completion, and flushes all replies in one sendmmsg —
 	// equal-size result multicasts ride UDP segmentation-offload
-	// trains where the kernel supports them. Zero selects 32; 1
-	// selects the legacy one-datagram-per-syscall loop (the
-	// measurement baseline, and the exact pre-batching behavior).
+	// trains where the kernel supports them. Zero selects 32; 1 runs
+	// the same loop one datagram per wakeup. SWITCHML_NO_MMSG=1 forces
+	// netio's portable mode, one datagram per syscall.
 	Batch int
-	// BusyPoll makes shard receive loops spin briefly on an empty
-	// socket before parking in the netpoller, trading CPU for latency.
-	// Only meaningful with Batch > 1.
-	BusyPoll bool
 	// DropResult, when non-nil, is consulted before each result send
 	// and drops the packet when it returns true. It exists for loss
 	// testing on loopback networks that never drop. The packet is
@@ -84,7 +80,9 @@ type AggregatorConfig struct {
 	Absent []int
 	// Inject, when non-nil, applies seeded loss, duplication and
 	// corruption to outgoing result datagrams — chaos testing on
-	// loopback networks that never misbehave. Control datagrams
+	// loopback networks that never misbehave. Verdicts are applied
+	// while staging on the shard's netio view, so injected traffic
+	// takes the production send path. Control datagrams
 	// (reconfig/resume) are sent clean; on a real network they are
 	// protected by the sweep-period rebroadcast instead.
 	Inject *faults.InjectorConfig
@@ -113,14 +111,13 @@ type Aggregator struct {
 	cfg  AggregatorConfig
 	conn *net.UDPConn
 	// conns are every socket bound to the listen address: just conn,
-	// or one SO_REUSEPORT socket per shard when batching could claim
-	// them. conn == conns[0] always; the control plane sends on it.
+	// or one SO_REUSEPORT socket per shard where the platform allows.
+	// conn == conns[0] always; the control plane sends on it.
 	conns []*net.UDPConn
 	sw    *core.ShardedSwitch
 	reg   *telemetry.Registry
-	// netMode names the I/O strategy the shard loops run
-	// ("per-packet", or the netio mode: portable/mmsg/gso). Written
-	// once before the serving goroutines start.
+	// netMode names the netio mode the shard loops run (portable,
+	// mmsg or gso). Written once before the serving goroutines start.
 	netMode string
 
 	recvd, corrupt, sent *telemetry.Counter
@@ -134,13 +131,9 @@ type Aggregator struct {
 	// owns repair — but a non-zero rate points at dead routes or
 	// misconfiguration, so it is surfaced instead of discarded.
 	sendErrs *telemetry.Counter
-	// shardCtrs[i] counts datagrams drained by shard i, the load view
-	// switchml-top derives shard balance from.
-	shardCtrs []*telemetry.Counter
-	// shardOcc[i] observes shard i's burst occupancy (datagrams per
-	// recv wakeup); its quantiles tell how full the batch pipeline
-	// actually runs.
-	shardOcc []*telemetry.Histogram
+	// shards are the shard working sets, read by introspection only
+	// through their atomic counters, histograms and netio counters.
+	shards []*aggShard
 
 	inj *faults.PacketInjector
 
@@ -169,10 +162,6 @@ type Aggregator struct {
 	adoptDone     bool
 	adoptions     *telemetry.Counter
 
-	// sncs collects the shard batched socket views for introspection
-	// (transient-send retry totals); empty on the legacy loop.
-	sncs []*netio.Conn
-
 	wg     sync.WaitGroup
 	closed chan struct{}
 }
@@ -181,7 +170,6 @@ type Aggregator struct {
 // the datagram-in/datagrams-out cycle touches no shared mutable
 // memory beyond the slot being aggregated.
 type aggShard struct {
-	buf     []byte        // datagram receive buffer (legacy loop)
 	pkt     packet.Packet // decoded request (vector storage reused)
 	out     packet.Packet // response storage for HandleInto
 	wire    []byte        // marshalled response
@@ -191,12 +179,12 @@ type aggShard struct {
 	// captured pointer, so counting stays allocation-free).
 	datagrams *telemetry.Counter
 
-	// Batched-loop state. nc is the shard's batched socket view; occ
-	// its burst-occupancy histogram. block accumulates the burst's
-	// equal-size multicast results so one flush sends the same bytes
-	// to every peer as a segment train (the completed results of a
-	// burst are identical for all workers, so the block is built once
-	// and addressed W times).
+	// nc is the shard's batched socket view; occ its burst-occupancy
+	// histogram. block accumulates the burst's equal-size multicast
+	// results so one flush sends the same bytes to every peer as a
+	// segment train (the completed results of a burst are identical
+	// for all workers, so the block is built once and addressed W
+	// times).
 	nc       *netio.Conn
 	occ      *telemetry.Histogram
 	block    []byte
@@ -209,7 +197,7 @@ func NewAggregator(cfg AggregatorConfig) (*Aggregator, error) {
 	if cfg.Shards <= 0 {
 		cfg.Shards = 4
 	}
-	if cfg.Batch == 0 {
+	if cfg.Batch <= 0 {
 		cfg.Batch = DefaultBatch
 	}
 	reg := cfg.Metrics
@@ -232,7 +220,7 @@ func NewAggregator(cfg AggregatorConfig) (*Aggregator, error) {
 			return nil, err
 		}
 	}
-	conns, err := bindAggSockets(cfg.Addr, cfg.Shards, cfg.Batch > 1)
+	conns, err := bindAggSockets(cfg.Addr, cfg.Shards)
 	if err != nil {
 		return nil, err
 	}
@@ -244,7 +232,6 @@ func NewAggregator(cfg AggregatorConfig) (*Aggregator, error) {
 		sw:         sw,
 		reg:        reg,
 		inj:        inj,
-		netMode:    "per-packet",
 		recvd:      reg.Counter("udp_datagrams_received_total", "role", "aggregator"),
 		corrupt:    reg.Counter("udp_datagrams_corrupted_total", "role", "aggregator"),
 		sent:       reg.Counter("udp_datagrams_sent_total", "role", "aggregator"),
@@ -293,38 +280,29 @@ func NewAggregator(cfg AggregatorConfig) (*Aggregator, error) {
 		a.wg.Add(1)
 		go a.sweepLoop()
 	}
-	a.shardCtrs = make([]*telemetry.Counter, cfg.Shards)
-	a.shardOcc = make([]*telemetry.Histogram, cfg.Shards)
 	mtu := aggWireMTU(cfg.Switch.SlotElems)
 	for i := 0; i < cfg.Shards; i++ {
-		a.shardCtrs[i] = reg.Counter("agg_shard_datagrams_total", "shard", fmt.Sprintf("%d", i))
-		sh := &aggShard{datagrams: a.shardCtrs[i]}
-		if cfg.Batch > 1 {
-			nc, werr := netio.Wrap(conns[i%len(conns)], netio.Config{
-				Batch:       cfg.Batch,
-				MTU:         mtu,
-				BusyPoll:    cfg.BusyPoll,
-				OnSendError: func(err error, n int) { a.sendErrs.Add(uint64(n)) },
-			})
-			if werr != nil {
-				// A socket that cannot even expose its fd is broken;
-				// the constructor has only the sweeper running so far.
-				close(a.closed)
-				closeAll(conns)
-				a.wg.Wait()
-				return nil, werr
-			}
-			sh.nc = nc
-			a.sncs = append(a.sncs, nc)
-			sh.occ = reg.Histogram("agg_batch_occupancy", BatchOccupancyBuckets, "shard", fmt.Sprintf("%d", i))
-			a.shardOcc[i] = sh.occ
-			sh.block = make([]byte, 0, cfg.Batch*mtu)
-			a.netMode = nc.Mode().String()
-			a.wg.Add(1)
-			go a.serveBatched(sh)
-			continue
+		nc, werr := netio.Wrap(conns[i%len(conns)], netio.Config{
+			Batch:       cfg.Batch,
+			MTU:         mtu,
+			OnSendError: func(err error, n int) { a.sendErrs.Add(uint64(n)) },
+		})
+		if werr != nil {
+			// A socket that cannot even expose its fd is broken; stop
+			// the sweeper and any shard already serving.
+			close(a.closed)
+			closeAll(conns)
+			a.wg.Wait()
+			return nil, werr
 		}
-		sh.buf = make([]byte, 65536)
+		sh := &aggShard{
+			datagrams: reg.Counter("agg_shard_datagrams_total", "shard", fmt.Sprintf("%d", i)),
+			nc:        nc,
+			occ:       reg.Histogram("agg_batch_occupancy", BatchOccupancyBuckets, "shard", fmt.Sprintf("%d", i)),
+			block:     make([]byte, 0, cfg.Batch*mtu),
+		}
+		a.shards = append(a.shards, sh)
+		a.netMode = nc.Mode().String()
 		a.wg.Add(1)
 		go a.serve(sh)
 	}
@@ -348,14 +326,13 @@ func closeAll(conns []*net.UDPConn) {
 	}
 }
 
-// bindAggSockets binds the listen address. With batching on and more
-// than one shard it tries one SO_REUSEPORT socket per shard first —
-// the kernel then steers each worker flow to exactly one shard
-// socket, the closest software analogue of NIC receive-side steering —
-// and falls back to a single shared socket where REUSEPORT is
-// unavailable.
-func bindAggSockets(addr string, shards int, batched bool) ([]*net.UDPConn, error) {
-	if batched && shards > 1 {
+// bindAggSockets binds the listen address. With more than one shard
+// it tries one SO_REUSEPORT socket per shard first — the kernel then
+// steers each worker flow to exactly one shard socket, the closest
+// software analogue of NIC receive-side steering — and falls back to
+// a single shared socket where REUSEPORT is unavailable.
+func bindAggSockets(addr string, shards int) ([]*net.UDPConn, error) {
+	if shards > 1 {
 		lc := net.ListenConfig{Control: netio.ControlReusePort}
 		if pc, err := lc.ListenPacket(context.Background(), "udp", addr); err == nil {
 			conns := []*net.UDPConn{pc.(*net.UDPConn)}
@@ -416,71 +393,17 @@ func (a *Aggregator) Close() error {
 	return err
 }
 
-// serve is one shard's run-to-completion loop: one datagram in, zero
-// or more datagrams out — the software analogue of one pipeline of
-// the switch. All per-packet storage belongs to the shard, so the
-// steady-state cycle is allocation-free.
-func (a *Aggregator) serve(sh *aggShard) {
-	defer a.wg.Done()
-	for {
-		n, src, err := a.conn.ReadFromUDPAddrPort(sh.buf)
-		if err != nil {
-			select {
-			case <-a.closed:
-				return
-			default:
-			}
-			if errors.Is(err, net.ErrClosed) {
-				return
-			}
-			continue // transient error: keep serving
-		}
-		a.recvd.Inc()
-		sh.datagrams.Inc()
-		if a.down.Load() {
-			continue // the aggregation program is "dead": pure silence
-		}
-		if err := packet.UnmarshalInto(&sh.pkt, sh.buf[:n]); err != nil {
-			a.corrupt.Inc()
-			continue // corrupted datagram: drop (§3.4)
-		}
-		if int(sh.pkt.WorkerID) >= len(a.peers) {
-			continue
-		}
-		//switchml:dispatch
-		switch sh.pkt.Kind {
-		case packet.KindUpdate:
-			a.handleUpdate(sh, src)
-		case packet.KindHeartbeat:
-			a.touch(&sh.pkt, src)
-		case packet.KindReport:
-			a.handleReport(&sh.pkt, src)
-		case packet.KindProbe:
-			a.handleProbe(sh, src)
-		case packet.KindJoin:
-			a.handleJoin(&sh.pkt, src)
-		case packet.KindLeave:
-			a.handleLeave(&sh.pkt, src)
-		case packet.KindAdoptJob:
-			a.handleAdopt(sh, src)
-		default:
-			// Workers never originate result/reconfig/resume kinds;
-			// count the drop so a confused peer is visible.
-			a.unexpected.Inc()
-		}
-	}
-}
-
-// serveBatched is one shard's batched run-to-completion loop: up to
-// cfg.Batch datagrams drained per wakeup (one recvmmsg on Linux, with
+// serve is one shard's run-to-completion loop — the software
+// analogue of one pipeline of the switch: up to cfg.Batch datagrams
+// drained per wakeup (one recvmmsg on Linux, with
 // GRO coalescing where the kernel offers it), every packet run to
 // completion against the shard's private arena with zero channel hops,
 // and all replies flushed in one sendmmsg — the burst's equal-size
 // multicast results riding a single segmentation-offload train per
-// peer. Control handlers (join/leave/report/heartbeat) are shared
-// with the legacy loop and send immediately on the control socket;
-// only the datagram-heavy update/result path is staged.
-func (a *Aggregator) serveBatched(sh *aggShard) {
+// peer. Control handlers (join/leave/report/heartbeat) send
+// immediately on the control socket; the update/result path and the
+// shard's own replies are staged.
+func (a *Aggregator) serve(sh *aggShard) {
 	defer a.wg.Done()
 	for {
 		n, err := sh.nc.Recv()
@@ -575,17 +498,12 @@ func (a *Aggregator) flushShard(sh *aggShard) {
 	sh.blockSeg = 0
 }
 
-// reply sends a control datagram back to a packet's source: staged on
-// the shard's batched socket when it has one (AppendTo copies the
-// payload, so the shard's ctrl scratch can be reused immediately),
-// immediate on the shared socket otherwise.
+// reply stages a control datagram back to a packet's source on the
+// shard's batched socket (AppendTo copies the payload, so the shard's
+// ctrl scratch can be reused immediately).
 func (a *Aggregator) reply(sh *aggShard, wire []byte, to netip.AddrPort) {
-	if sh.nc != nil {
-		sh.nc.AppendTo(wire, to)
-		a.sent.Inc()
-		return
-	}
-	a.writeCtrl(wire, to)
+	sh.nc.AppendTo(wire, to)
+	a.sent.Inc()
 }
 
 // writeCtrl sends one control datagram on the shared socket. Failures
@@ -654,25 +572,20 @@ func (a *Aggregator) handleUpdate(sh *aggShard, src netip.AddrPort) {
 	}
 	sh.wire = resp.Pkt.AppendMarshal(sh.wire[:0])
 	if resp.Multicast {
-		if sh.nc != nil && a.inj == nil {
+		if a.inj == nil {
 			a.stageMulticast(sh)
 			return
 		}
 		for i := range a.peers {
 			if ap := a.peers[i].Load(); ap != nil {
-				a.write(sh, *ap)
+				a.stageResult(sh, *ap)
 			}
 		}
 		return
 	}
 	if int(resp.Pkt.WorkerID) < len(a.peers) {
 		if ap := a.peers[resp.Pkt.WorkerID].Load(); ap != nil {
-			if sh.nc != nil && a.inj == nil {
-				sh.nc.AppendTo(sh.wire, *ap)
-				a.sent.Inc()
-			} else {
-				a.write(sh, *ap)
-			}
+			a.stageResult(sh, *ap)
 		}
 	}
 }
@@ -720,11 +633,14 @@ func (a *Aggregator) handleProbe(sh *aggShard, src netip.AddrPort) {
 // worker fails back.
 func (a *Aggregator) SetDown(down bool) { a.down.Store(down) }
 
-// write sends the shard's marshalled result datagram, consulting the
-// fault injector.
-func (a *Aggregator) write(sh *aggShard, peer netip.AddrPort) {
-	out := sh.wire
-	writes := 1
+// stageResult stages the shard's marshalled result datagram for one
+// peer, under the fault injector's verdict when one is configured: a
+// drop is not staged, a corruption stages a mangled copy, a duplicate
+// is staged twice. Each peer gets its own verdict, so injected
+// multicasts are staged per peer rather than as one shared segment
+// train.
+func (a *Aggregator) stageResult(sh *aggShard, peer netip.AddrPort) {
+	out, copies := sh.wire, 1
 	if a.inj != nil {
 		switch a.inj.Judge() {
 		case faults.Drop:
@@ -736,14 +652,11 @@ func (a *Aggregator) write(sh *aggShard, peer netip.AddrPort) {
 			a.inj.Mangle(sh.mangled)
 			out = sh.mangled
 		case faults.Duplicate:
-			writes = 2
+			copies = 2
 		}
 	}
-	for i := 0; i < writes; i++ {
-		if _, err := a.conn.WriteToUDPAddrPort(out, peer); err != nil {
-			a.sendErrs.Inc()
-			continue
-		}
+	for i := 0; i < copies; i++ {
+		sh.nc.AppendTo(out, peer)
 		a.sent.Inc()
 	}
 }

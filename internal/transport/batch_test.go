@@ -15,7 +15,7 @@ import (
 )
 
 // runBatchCluster is runCluster with an explicit I/O burst ceiling on
-// both sides (1 = legacy per-packet loops, 0 = the batched default).
+// both sides (0 = the batched default).
 func runBatchCluster(t *testing.T, n, d, batch int, seed int64) ([][]int32, []int32, *Aggregator, []*Client) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
@@ -75,19 +75,24 @@ func runBatchCluster(t *testing.T, n, d, batch int, seed int64) ([][]int32, []in
 }
 
 // TestBatchedUnbatchedEquivalence runs the identical seeded job
-// through the legacy per-packet loops (Batch=1) and the batched
-// run-to-completion loops (default batch) and demands bit-identical
-// aggregates — the guarantee that batching is purely an I/O change.
+// through netio's portable mode at burst ceiling 1 (one datagram per
+// syscall, the unbatched reference) and the batched run-to-completion
+// loops (default batch, best mode the host offers) and demands
+// bit-identical aggregates — the guarantee that batching is purely an
+// I/O change.
 func TestBatchedUnbatchedEquivalence(t *testing.T) {
 	const n, d, seed = 3, 4000, 99
-	legacy, want, aggL, clL := runBatchCluster(t, n, d, 1, seed)
-	defer aggL.Close()
-	for _, c := range clL {
-		defer c.Close()
-	}
 	batched, want2, aggB, clB := runBatchCluster(t, n, d, 0, seed)
 	defer aggB.Close()
 	for _, c := range clB {
+		defer c.Close()
+	}
+	// The mode is chosen at Wrap time, so the environment only needs
+	// to hold while the reference cluster is built.
+	t.Setenv(netio.NoMmsgEnv, "1")
+	portable, want, aggP, clP := runBatchCluster(t, n, d, 1, seed)
+	defer aggP.Close()
+	for _, c := range clP {
 		defer c.Close()
 	}
 	for j := range want {
@@ -97,20 +102,20 @@ func TestBatchedUnbatchedEquivalence(t *testing.T) {
 	}
 	for i := 0; i < n; i++ {
 		for j := 0; j < d; j++ {
-			if legacy[i][j] != want[j] || batched[i][j] != want[j] {
-				t.Fatalf("worker %d elem %d: legacy %d batched %d want %d",
-					i, j, legacy[i][j], batched[i][j], want[j])
+			if portable[i][j] != want[j] || batched[i][j] != want[j] {
+				t.Fatalf("worker %d elem %d: portable %d batched %d want %d",
+					i, j, portable[i][j], batched[i][j], want[j])
 			}
 		}
 	}
 
 	// The debug documents must reflect the strategies actually run.
-	stL := aggL.DebugState(false)
-	if stL.Batch != 1 || stL.NetMode != "per-packet" {
-		t.Errorf("legacy agg debug = batch %d mode %q", stL.Batch, stL.NetMode)
+	stP := aggP.DebugState(false)
+	if stP.Batch != 1 || stP.NetMode != "portable" {
+		t.Errorf("portable agg debug = batch %d mode %q", stP.Batch, stP.NetMode)
 	}
 	stB := aggB.DebugState(false)
-	if stB.Batch != DefaultBatch || stB.NetMode == "per-packet" || stB.NetMode == "" {
+	if stB.Batch != DefaultBatch || stB.NetMode == "" {
 		t.Errorf("batched agg debug = batch %d mode %q", stB.Batch, stB.NetMode)
 	}
 	// Portable-mode bursts are all exactly 1 datagram, which the
@@ -120,11 +125,11 @@ func TestBatchedUnbatchedEquivalence(t *testing.T) {
 		t.Errorf("batched occupancy p50 = %v, want > 0 (histogram not recording)", stB.BatchOccupancyP50)
 	}
 	cst := clB[0].DebugState()
-	if cst.Batch != DefaultBatch || cst.NetMode == "per-packet" || cst.NetMode == "" {
+	if cst.Batch != DefaultBatch || cst.NetMode == "" {
 		t.Errorf("batched client debug = batch %d mode %q", cst.Batch, cst.NetMode)
 	}
-	if lst := clL[0].DebugState(); lst.NetMode != "per-packet" {
-		t.Errorf("legacy client mode = %q, want per-packet", lst.NetMode)
+	if lst := clP[0].DebugState(); lst.Batch != 1 || lst.NetMode != "portable" {
+		t.Errorf("portable client debug = batch %d mode %q, want batch 1 portable", lst.Batch, lst.NetMode)
 	}
 }
 

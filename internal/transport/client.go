@@ -70,18 +70,16 @@ type ClientConfig struct {
 	// window block flushed as one batched write (one sendmmsg — a
 	// single segmentation-offload train where the kernel supports it),
 	// and each receive wakeup drains up to Batch result datagrams in
-	// one recvmmsg. Zero selects 32; 1 selects the legacy
-	// one-datagram-per-syscall loop (the measurement baseline, and the
-	// exact pre-batching behavior).
+	// one recvmmsg. Zero selects 32; 1 runs the same path one datagram
+	// per flush and wakeup. SWITCHML_NO_MMSG=1 forces netio's portable
+	// mode, one datagram per syscall.
 	Batch int
-	// BusyPoll makes the receive path spin briefly on an empty socket
-	// before parking in the netpoller, trading CPU for latency. Only
-	// meaningful with Batch > 1.
-	BusyPoll bool
 	// Inject, when non-nil, applies seeded loss, duplication and
 	// corruption to outgoing update datagrams — chaos testing on
-	// loopback networks that never misbehave. Control datagrams
-	// (report/heartbeat) are sent clean.
+	// loopback networks that never misbehave. Verdicts are applied
+	// while staging into the window train, so injected traffic takes
+	// the production send path. Control datagrams (report/heartbeat)
+	// are sent clean.
 	Inject *faults.InjectorConfig
 	// Metrics receives the worker protocol and datagram counters. Nil
 	// allocates a private registry, available through Registry.
@@ -128,25 +126,21 @@ type Client struct {
 	// lastSend tracks per-slot transmission times for timeout
 	// sweeps.
 	lastSend []time.Time
-	// rbuf/rp/sbuf/cbuf are the receive buffer, decoded packet, send
-	// wire buffer and control wire buffer, reused across datagrams so
-	// the steady-state AllReduce loop performs no heap allocation.
-	// They belong to the AllReduce goroutine (the client is
-	// documented as not safe for concurrent use).
+	// rbuf/rp/sbuf/cbuf are the control-plane receive buffer, decoded
+	// packet, send wire buffer and control wire buffer, reused across
+	// datagrams so the steady-state AllReduce loop performs no heap
+	// allocation. They belong to the AllReduce goroutine (the client
+	// is documented as not safe for concurrent use).
 	rbuf []byte
 	rp   packet.Packet
 	sbuf []byte
 	cbuf []byte
-	// rlen is the payload length of the datagram in rbuf (legacy
-	// single-read path).
-	rlen int
-	// nc is the batched socket view over conn; nil when cfg.Batch == 1
-	// (legacy per-packet I/O) or the platform refuses the wrap. txb
-	// accumulates marshalled updates of txSeg bytes each — the window
-	// pump — flushed as one segment train by flushTx. stageErr carries
-	// the first send failure out of netio's OnSendError callback (which
-	// fires on the AllReduce goroutine, inside Flush) to the next
-	// flushTx caller.
+	// nc is the batched socket view over conn: every update send and
+	// result receive goes through it. txb accumulates marshalled
+	// updates of txSeg bytes each — the window pump — flushed as one
+	// segment train by flushTx. stageErr carries the first send
+	// failure out of netio's OnSendError callback (which fires on the
+	// AllReduce goroutine, inside Flush) to the next flushTx caller.
 	nc       *netio.Conn
 	txb      []byte
 	txSeg    int
@@ -255,7 +249,7 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 			return nil, err
 		}
 	}
-	if cfg.Batch == 0 {
+	if cfg.Batch <= 0 {
 		cfg.Batch = DefaultBatch
 	}
 	id := fmt.Sprintf("%d", cfg.Worker.ID)
@@ -294,7 +288,10 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 	c.failProbeAcks = reg.Counter("failover_probe_acks_total", "worker", id)
 	c.failFailbacks = reg.Counter("failover_failbacks_total", "worker", id)
 	c.hbConn.Store(conn)
-	c.wrapMain(conn)
+	if err := c.wrapMain(conn); err != nil {
+		conn.Close()
+		return nil, err
+	}
 	if cfg.Fallback != nil {
 		fc := *cfg.Fallback
 		fc.fillDefaults(cfg.RTO)
@@ -317,16 +314,17 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 			conn.Close()
 			return nil, err
 		}
-		if cfg.Batch > 1 {
-			if mnc, err := netio.Wrap(mesh, netio.Config{
-				Batch: cfg.Batch,
-				MTU:   aggWireMTU(fc.SegElems),
-				OnSendError: func(err error, n int) {
-					c.sendErrs.Add(uint64(n))
-				},
-			}); err == nil {
-				c.fb.nc = mnc
-			}
+		c.fb.nc, err = netio.Wrap(mesh, netio.Config{
+			Batch: cfg.Batch,
+			MTU:   aggWireMTU(fc.SegElems),
+			OnSendError: func(err error, n int) {
+				c.sendErrs.Add(uint64(n))
+			},
+		})
+		if err != nil {
+			mesh.Close()
+			conn.Close()
+			return nil, fmt.Errorf("transport: batched mesh socket view: %w", err)
 		}
 	}
 	c.gRTO.Set(int64(cfg.RTO))
@@ -462,11 +460,8 @@ func (c *Client) AllReduceInt32(u []int32) ([]int32, error) {
 		}
 	}
 	for _, p := range c.worker.Start(u) {
-		err := c.send(p, false)
+		c.send(p, false)
 		packet.PutPacket(p)
-		if err != nil {
-			return nil, err
-		}
 	}
 	if err := c.flushTx(); err != nil {
 		return nil, err
@@ -533,12 +528,10 @@ func (c *Client) switchLoop(u []int32, deadline time.Time) ([]int32, error) {
 		if err := c.conn.SetReadDeadline(readDeadline); err != nil {
 			return nil, err
 		}
-		nm, err := c.recvBurst()
+		nm, err := c.nc.Recv()
 		if err != nil {
 			if ne, ok := err.(net.Error); ok && ne.Timeout() {
-				if err := c.sweepTimeouts(); err != nil {
-					return nil, err
-				}
+				c.sweepTimeouts()
 				continue
 			}
 			if c.canDegrade() {
@@ -552,11 +545,7 @@ func (c *Client) switchLoop(u []int32, deadline time.Time) ([]int32, error) {
 		}
 		c.recvd.Add(uint64(nm))
 		for i := 0; i < nm; i++ {
-			buf := c.rbuf[:c.rlen]
-			if c.nc != nil {
-				buf = c.nc.Msgs[i].Buf
-			}
-			if err := packet.UnmarshalInto(&c.rp, buf); err != nil {
+			if err := packet.UnmarshalInto(&c.rp, c.nc.Msgs[i].Buf); err != nil {
 				c.corrupt.Inc()
 				continue // corrupted datagram
 			}
@@ -578,21 +567,6 @@ func (c *Client) switchLoop(u []int32, deadline time.Time) ([]int32, error) {
 			}
 		}
 	}
-}
-
-// recvBurst blocks for the next burst of result datagrams: up to
-// cfg.Batch through the batched socket view, or exactly one through
-// the legacy read (rbuf/rlen).
-func (c *Client) recvBurst() (int, error) {
-	if c.nc != nil {
-		return c.nc.Recv()
-	}
-	n, err := c.conn.Read(c.rbuf)
-	if err != nil {
-		return 0, err
-	}
-	c.rlen = n
-	return 1, nil
 }
 
 // handleIncoming dispatches one datagram from the aggregator. Results
@@ -640,11 +614,8 @@ func (c *Client) handleIncoming(p *packet.Packet) (bool, error) {
 			c.retxed[i] = false
 		}
 		for _, q := range pkts {
-			err := c.send(q, false)
+			c.send(q, false)
 			packet.PutPacket(q)
-			if err != nil {
-				return false, err
-			}
 		}
 		return false, nil
 	case packet.KindResult, packet.KindResultUnicast:
@@ -662,11 +633,8 @@ func (c *Client) handleIncoming(p *packet.Packet) (bool, error) {
 			}
 		}
 		if next != nil {
-			err := c.send(next, false)
+			c.send(next, false)
 			packet.PutPacket(next)
-			if err != nil {
-				return false, err
-			}
 		}
 		return done, nil
 	default:
@@ -677,45 +645,33 @@ func (c *Client) handleIncoming(p *packet.Packet) (bool, error) {
 	}
 }
 
-// send transmits an update and stamps its slot timer, consulting the
-// fault injector. An injected drop still stamps the timer — the
-// packet was "lost on the wire", and the retransmission machinery is
-// exactly what recovers it. The wire bytes go through the client's
-// reused send buffer; callers that got p from the packet pool may
-// return it as soon as send returns. retx flags retransmissions,
-// whose round trips the RTT estimator must ignore.
-func (c *Client) send(p *packet.Packet, retx bool) error {
+// send stages an update into the window train and stamps its slot
+// timer, consulting the fault injector: a drop is not staged, a
+// corruption stages the mangled bytes, a duplicate is staged twice.
+// An injected drop still stamps the timer — the packet was "lost on
+// the wire", and the retransmission machinery is exactly what
+// recovers it. The wire bytes go through the client's reused send
+// buffer; callers that got p from the packet pool may return it as
+// soon as send returns. retx flags retransmissions, whose round trips
+// the RTT estimator must ignore. Send failures surface at the next
+// flushTx.
+func (c *Client) send(p *packet.Packet, retx bool) {
 	c.lastSend[p.Idx] = time.Now()
 	if int(p.Idx) < len(c.retxed) {
 		c.retxed[p.Idx] = retx
 	}
 	c.sbuf = p.AppendMarshal(c.sbuf[:0])
-	if c.nc != nil && c.inj == nil {
-		c.stageTx()
-		return nil
-	}
-	out := c.sbuf
-	writes := 1
 	if c.inj != nil {
 		switch c.inj.Judge() {
 		case faults.Drop:
-			return nil
+			return
 		case faults.Corrupt:
-			c.inj.Mangle(out)
+			c.inj.Mangle(c.sbuf)
 		case faults.Duplicate:
-			writes = 2
+			c.stageTx()
 		}
 	}
-	for i := 0; i < writes; i++ {
-		if _, err := c.conn.Write(out); err != nil {
-			if c.canDegrade() && deadDestination(err) {
-				return nil
-			}
-			return fmt.Errorf("transport: send: %w", err)
-		}
-		c.sent.Inc()
-	}
-	return nil
+	c.stageTx()
 }
 
 // stageTx appends the marshalled update in sbuf to the window block.
@@ -747,11 +703,8 @@ func (c *Client) flushTxBlock() {
 // flushTx drains the staged window and surfaces the first send error
 // netio reported since the last flush. With a fallback armed, a
 // provably-dead destination is death evidence for the silence clock
-// rather than a caller error — matching the legacy direct-write path.
+// rather than a caller error.
 func (c *Client) flushTx() error {
-	if c.nc == nil {
-		return nil
-	}
 	c.flushTxBlock()
 	c.nc.Flush()
 	if err := c.stageErr; err != nil {
@@ -844,7 +797,7 @@ func (c *Client) observeRTT(sample time.Duration) {
 // also the mid-tensor publication point for the frontier and pending
 // gauges: frequent enough to be live, rare enough that the
 // O(chunks) frontier scan never shadows packet handling.
-func (c *Client) sweepTimeouts() error {
+func (c *Client) sweepTimeouts() {
 	c.gPending.Set(int64(c.worker.PendingCount()))
 	c.gFrontier.Set(int64(c.worker.FrontierOff()))
 	now := time.Now()
@@ -861,12 +814,8 @@ func (c *Client) sweepTimeouts() error {
 		c.trace(telemetry.EvTimeoutFired, int32(idx))
 		if p := c.worker.Retransmit(uint32(idx)); p != nil {
 			c.trace(telemetry.EvRetransmit, int32(idx))
-			err := c.send(p, true)
+			c.send(p, true)
 			packet.PutPacket(p)
-			if err != nil {
-				return err
-			}
 		}
 	}
-	return nil
 }

@@ -19,9 +19,8 @@ type AggDebugState struct {
 	// the socket stays bound.
 	Down   bool `json:"down"`
 	Shards int  `json:"shards"`
-	// Batch is the per-shard burst ceiling (1 = legacy per-packet
-	// loop); NetMode names the I/O strategy the shard loops selected
-	// ("per-packet", "portable", "mmsg" or "gso").
+	// Batch is the per-shard burst ceiling; NetMode names the netio
+	// mode the shard loops selected ("portable", "mmsg" or "gso").
 	Batch   int    `json:"batch"`
 	NetMode string `json:"net_mode"`
 	// ShardDatagrams[i] is shard i's cumulative drain count; their
@@ -42,8 +41,8 @@ type AggDebugState struct {
 	// through the KindAdoptJob handshake.
 	Adoptions uint64 `json:"adoptions"`
 	// BatchOccupancyP50/P99 are quantiles of datagrams drained per
-	// receive wakeup, merged across shards (0 on the legacy loop): how
-	// full the batch pipeline actually runs.
+	// receive wakeup, merged across shards: how full the batch
+	// pipeline actually runs.
 	BatchOccupancyP50 float64          `json:"batch_occupancy_p50"`
 	BatchOccupancyP99 float64          `json:"batch_occupancy_p99"`
 	Switch            core.SwitchStats `json:"switch"`
@@ -68,10 +67,10 @@ func (a *Aggregator) DebugState(withSlots bool) AggDebugState {
 		Role:           "aggregator",
 		Epoch:          a.epochNow(),
 		Down:           a.down.Load(),
-		Shards:         len(a.shardCtrs),
+		Shards:         len(a.shards),
 		Batch:          a.cfg.Batch,
 		NetMode:        a.netMode,
-		ShardDatagrams: make([]uint64, len(a.shardCtrs)),
+		ShardDatagrams: make([]uint64, len(a.shards)),
 		Received:       a.recvd.Value(),
 		Corrupted:      a.corrupt.Value(),
 		Sent:           a.sent.Value(),
@@ -82,16 +81,13 @@ func (a *Aggregator) DebugState(withSlots bool) AggDebugState {
 		Peers:          make([]string, len(a.peers)),
 		Alive:          make([]bool, len(a.peers)),
 	}
-	for i, c := range a.shardCtrs {
-		st.ShardDatagrams[i] = c.Value()
+	for i, sh := range a.shards {
+		st.ShardDatagrams[i] = sh.datagrams.Value()
+		st.SendRetries += sh.nc.SendRetries()
 	}
-	for _, nc := range a.sncs {
-		st.SendRetries += nc.SendRetries()
-	}
-	if occ, ok := a.occupancySnapshot(); ok {
-		st.BatchOccupancyP50 = occ.Quantile(0.5)
-		st.BatchOccupancyP99 = occ.Quantile(0.99)
-	}
+	occ := a.occupancySnapshot()
+	st.BatchOccupancyP50 = occ.Quantile(0.5)
+	st.BatchOccupancyP99 = occ.Quantile(0.99)
 	st.Membership = make([]string, len(a.peers))
 	for i := range a.peers {
 		if ap := a.peers[i].Load(); ap != nil {
@@ -112,26 +108,17 @@ func (a *Aggregator) DebugState(withSlots bool) AggDebugState {
 
 // occupancySnapshot merges the per-shard batch-occupancy histograms
 // into one distribution (the buckets are shared, so counts add).
-func (a *Aggregator) occupancySnapshot() (telemetry.HistogramSnapshot, bool) {
-	var merged telemetry.HistogramSnapshot
-	ok := false
-	for _, h := range a.shardOcc {
-		if h == nil {
-			continue
-		}
-		s := h.Snapshot()
-		if !ok {
-			merged = s
-			ok = true
-			continue
-		}
+func (a *Aggregator) occupancySnapshot() telemetry.HistogramSnapshot {
+	merged := a.shards[0].occ.Snapshot()
+	for _, sh := range a.shards[1:] {
+		s := sh.occ.Snapshot()
 		for i := range s.Counts {
 			merged.Counts[i] += s.Counts[i]
 		}
 		merged.Count += s.Count
 		merged.Sum += s.Sum
 	}
-	return merged, ok
+	return merged
 }
 
 // ClientDebugState is one worker's introspection document, served at
@@ -198,13 +185,7 @@ func (c *Client) DebugState() ClientDebugState {
 	}
 }
 
-// netMode names the client's I/O strategy for introspection. It reads
+// netMode names the client's netio mode for introspection. It reads
 // the atomic view pointer: a re-home may swap the batched view under
 // a concurrent monitoring read.
-func (c *Client) netMode() string {
-	nc := c.ncDbg.Load()
-	if nc == nil {
-		return "per-packet"
-	}
-	return nc.Mode().String()
-}
+func (c *Client) netMode() string { return c.ncDbg.Load().Mode().String() }

@@ -172,11 +172,8 @@ func (c *Client) holdAtFence(deadline time.Time) (reopened bool, err error) {
 			c.fenceArmed = false
 			c.trace(telemetry.EvResume, -1)
 			for _, q := range pkts {
-				serr := c.send(q, false)
+				c.send(q, false)
 				packet.PutPacket(q)
-				if serr != nil {
-					return false, serr
-				}
 			}
 			return true, nil
 		case packet.KindReconfig:

@@ -103,28 +103,17 @@ func jitterDur(rng *rand.Rand, d time.Duration) time.Duration {
 	return d + time.Duration((rng.Float64()-0.5)*0.2*float64(d))
 }
 
-// wrapMain (re)builds the batched socket view over the main
-// aggregator connection; called at construction and again by every
-// re-home (the netio arenas are bound to one socket). The send
-// retries of a retired view are folded into retiredRetries so the
-// introspection total survives the swap.
-func (c *Client) wrapMain(conn *net.UDPConn) {
-	if old := c.nc; old != nil {
-		c.retiredRetries.Add(old.SendRetries())
-	}
-	c.nc = nil
-	c.ncDbg.Store(nil)
-	c.txb = nil
-	c.txSeg = 0
-	c.stageErr = nil
-	if c.cfg.Batch <= 1 {
-		return
-	}
+// wrapMain builds the batched socket view over a main aggregator
+// connection and installs it; called at construction and again by
+// every re-home (the netio arenas are bound to one socket). Nothing
+// is swapped when the wrap fails. The send retries of a retired view
+// are folded into retiredRetries so the introspection total survives
+// the swap.
+func (c *Client) wrapMain(conn *net.UDPConn) error {
 	mtu := aggWireMTU(c.cfg.Worker.SlotElems)
 	nc, err := netio.Wrap(conn, netio.Config{
-		Batch:    c.cfg.Batch,
-		MTU:      mtu,
-		BusyPoll: c.cfg.BusyPoll,
+		Batch: c.cfg.Batch,
+		MTU:   mtu,
 		OnSendError: func(err error, n int) {
 			c.sendErrs.Add(uint64(n))
 			if c.stageErr == nil {
@@ -133,13 +122,17 @@ func (c *Client) wrapMain(conn *net.UDPConn) {
 		},
 	})
 	if err != nil {
-		// A socket that cannot expose its fd leaves the legacy
-		// per-packet path in place, as at construction.
-		return
+		return fmt.Errorf("transport: batched socket view: %w", err)
+	}
+	if old := c.nc; old != nil {
+		c.retiredRetries.Add(old.SendRetries())
 	}
 	c.nc = nc
 	c.ncDbg.Store(nc)
 	c.txb = make([]byte, 0, c.cfg.Batch*mtu)
+	c.txSeg = 0
+	c.stageErr = nil
+	return nil
 }
 
 // sendRetryTotal sums transient-send retries across the current and
@@ -165,10 +158,13 @@ func (c *Client) rehome(rank int) error {
 	if err != nil {
 		return fmt.Errorf("transport: dial ladder rung %d: %w", rank, err)
 	}
+	if err := c.wrapMain(conn); err != nil {
+		conn.Close()
+		return err
+	}
 	old := c.conn
 	c.conn = conn
 	c.hbConn.Store(conn)
-	c.wrapMain(conn)
 	old.Close()
 	c.homeRank = rank
 	c.gHome.Set(int64(rank))
@@ -271,11 +267,8 @@ func (c *Client) adoptAt(rank int, deadline time.Time) error {
 			c.lastProgress = time.Now()
 			c.trace(telemetry.EvResume, -1)
 			for _, q := range pkts {
-				serr := c.send(q, false)
+				c.send(q, false)
 				packet.PutPacket(q)
-				if serr != nil {
-					return serr
-				}
 			}
 			return c.flushTx()
 		case packet.KindReconfig:

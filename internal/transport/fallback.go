@@ -130,9 +130,9 @@ type fallback struct {
 	probeAwait bool
 	streak     int
 	// nc is the batched socket view over mesh, staging the ring's
-	// window-fill and go-back-N bursts for single-syscall flushes; nil
-	// when the client runs legacy per-packet I/O. Only sends go
-	// through it — mesh receives stay on the plain socket — so the
+	// window-fill and go-back-N bursts for single-syscall flushes.
+	// Only ring data segments go through it — barrier syncs, acks and
+	// every mesh receive stay on the plain socket — so the
 	// single-owner staging contract is the AllReduce goroutine's.
 	nc *netio.Conn
 	// syncWire / prevSyncWire are the marshalled barrier syncs of the
@@ -326,11 +326,8 @@ func (c *Client) failback(u []int32, deadline time.Time) ([]int32, error) {
 		c.retxed[i] = false
 	}
 	for _, p := range pkts {
-		err := c.send(p, false)
+		c.send(p, false)
 		packet.PutPacket(p)
-		if err != nil {
-			return nil, err
-		}
 	}
 	out, err := c.switchLoop(u, deadline)
 	if errors.Is(err, errSilence) {
@@ -701,22 +698,14 @@ func (c *Client) sendSeg(pl *ringPlan, buf []int32, seq, nextID int) {
 		Vector:   buf[off : off+length],
 	}
 	fb.sbuf = p.AppendMarshal(fb.sbuf[:0])
-	if fb.nc != nil {
-		// Staged: AppendTo copies, so sbuf is immediately reusable. The
-		// window pump flushes the whole burst in one batched send.
-		fb.nc.AppendTo(fb.sbuf, fb.peers[nextID].AddrPort())
-		return
-	}
-	c.meshWrite(fb.sbuf, fb.peers[nextID])
+	// Staged: AppendTo copies, so sbuf is immediately reusable. The
+	// window pump flushes the whole burst in one batched send.
+	fb.nc.AppendTo(fb.sbuf, fb.peers[nextID].AddrPort())
 }
 
 // flushMesh pushes any mesh datagrams staged by the window pump to
-// the kernel. A no-op on the legacy per-packet path.
-func (c *Client) flushMesh() {
-	if c.fb.nc != nil {
-		c.fb.nc.Flush()
-	}
-}
+// the kernel.
+func (c *Client) flushMesh() { c.fb.nc.Flush() }
 
 // meshWrite sends one datagram on the mesh socket, counting (not
 // retrying) failures: the ring's go-back-N recovery owns repair.

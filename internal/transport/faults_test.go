@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"fmt"
 	"net"
 	"sync"
 	"testing"
@@ -8,6 +9,7 @@ import (
 
 	"switchml/internal/core"
 	"switchml/internal/faults"
+	"switchml/internal/netio"
 	"switchml/internal/packet"
 )
 
@@ -41,7 +43,11 @@ func checkBoundary(t *testing.T, got []int32, full, surv int32, k int) int {
 // TestFaultUDPInjectorLoss pushes a tensor through clients and an
 // aggregator that all drop, duplicate and corrupt datagrams via the
 // seeded injector; retransmission and the checksum must still produce
-// exact sums.
+// exact sums. Every injector must have exercised all three verdicts
+// on endpoints running a netio mode, which proves the chaos traffic
+// takes the production send path. The duplicate and corruption rates
+// are high enough that each seed draws all three verdicts within the
+// first 45 datagrams, well inside the 188 every endpoint must send.
 func TestFaultUDPInjectorLoss(t *testing.T) {
 	const n, s, k, d = 2, 4, 16, 3000
 	agg, err := NewAggregator(AggregatorConfig{
@@ -49,7 +55,7 @@ func TestFaultUDPInjectorLoss(t *testing.T) {
 		Switch: core.SwitchConfig{
 			Workers: n, PoolSize: s, SlotElems: k, LossRecovery: true,
 		},
-		Inject: &faults.InjectorConfig{Seed: 99, DropRate: 0.05, DupRate: 0.02, CorruptRate: 0.02},
+		Inject: &faults.InjectorConfig{Seed: 99, DropRate: 0.05, DupRate: 0.04, CorruptRate: 0.04},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -68,6 +74,8 @@ func TestFaultUDPInjectorLoss(t *testing.T) {
 	results := make([][]int32, n)
 	errs := make([]error, n)
 	retx := make([]uint64, n)
+	modes := make([]string, n)
+	injStats := make([]faults.InjectorStats, n)
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
 		i := i
@@ -81,7 +89,7 @@ func TestFaultUDPInjectorLoss(t *testing.T) {
 				},
 				RTO:     15 * time.Millisecond,
 				Timeout: 20 * time.Second,
-				Inject:  &faults.InjectorConfig{Seed: int64(i + 1), DropRate: 0.05, DupRate: 0.02, CorruptRate: 0.02},
+				Inject:  &faults.InjectorConfig{Seed: int64(i + 1), DropRate: 0.05, DupRate: 0.04, CorruptRate: 0.04},
 			})
 			if err != nil {
 				errs[i] = err
@@ -90,6 +98,8 @@ func TestFaultUDPInjectorLoss(t *testing.T) {
 			defer c.Close()
 			results[i], errs[i] = c.AllReduceInt32(updates[i])
 			retx[i] = c.Stats().Retransmissions
+			modes[i] = c.DebugState().NetMode
+			injStats[i] = c.inj.Stats()
 		}()
 	}
 	wg.Wait()
@@ -106,6 +116,23 @@ func TestFaultUDPInjectorLoss(t *testing.T) {
 	if retx[0]+retx[1] == 0 {
 		t.Error("injector was configured but no retransmissions happened")
 	}
+	netModes := map[string]bool{}
+	for _, m := range []netio.Mode{netio.ModePortable, netio.ModeMmsg, netio.ModeGSO} {
+		netModes[m.String()] = true
+	}
+	checkInjected := func(who, mode string, st faults.InjectorStats) {
+		t.Helper()
+		if !netModes[mode] {
+			t.Errorf("%s net mode = %q, want a netio mode", who, mode)
+		}
+		if st.Dropped == 0 || st.Duplicated == 0 || st.Corrupted == 0 {
+			t.Errorf("%s injector stats %+v: want at least one drop, duplicate and corruption", who, st)
+		}
+	}
+	for i := 0; i < n; i++ {
+		checkInjected(fmt.Sprintf("worker %d", i), modes[i], injStats[i])
+	}
+	checkInjected("aggregator", agg.DebugState(false).NetMode, agg.inj.Stats())
 }
 
 // TestFaultUDPWorkerCrashRecovery is the §5.6 failure path over real

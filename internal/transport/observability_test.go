@@ -189,6 +189,7 @@ func TestFaultObservabilityChaos(t *testing.T) {
 
 	// The degrade and failback transitions left incident files; each
 	// parses against the schema and carries per-slot state.
+	fr.Dumped() // wait for the queued writes
 	files, _ := filepath.Glob(filepath.Join(dir, "incident-*.json"))
 	if len(files) < 2 {
 		t.Fatalf("incident files = %v, want at least degrade and failback", files)

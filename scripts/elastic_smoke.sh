@@ -34,7 +34,21 @@ W0=$!
     -elems-per-tensor 2048 -iters 3000 -heartbeat 200ms \
     -mesh "$MESH" -mesh-listen $M1 -verify=false > "$DIR/w1.log" 2>&1 &
 W1=$!
-sleep 1
+
+# Start the joiner as soon as both incumbents are training: on a fast
+# host their 3000 iterations take about a second, so a joiner started
+# later can find the job over and its join times out. Admission takes
+# under a tenth of the incumbents' run.
+tries=0
+until grep -q "iter  0:" "$DIR/w0.log" && grep -q "iter  0:" "$DIR/w1.log"; do
+    tries=$((tries + 1))
+    if [ $tries -gt 200 ]; then
+        echo "elastic-smoke: incumbents never started training" >&2
+        cat "$DIR/agg.log" "$DIR/w0.log" "$DIR/w1.log" >&2 || true
+        exit 1
+    fi
+    sleep 0.05
+done
 
 # The joiner: admitted mid-job at the global frontier, drains after 50
 # iterations while the incumbents keep training.

@@ -35,11 +35,13 @@ sleep 0.3
 
 # Workers: short RTO so the default silence window (8x RTO) trips well
 # inside the 2 s outage; enough iterations to span outage + probation.
+# A fault-free iteration takes about 0.4 ms on a fast loopback host, so
+# 16000 of them outlast the 4 s drill with margin.
 WPIDS=""
 for id in 0 1 2; do
     eval "LISTEN=\$M$id"
     "$DIR/switchml-worker" -agg 127.0.0.1:$PRI_PORT -id $id -workers 3 -pool 16 \
-        -elems-per-tensor 2048 -iters 4000 -rto 50ms \
+        -elems-per-tensor 2048 -iters 16000 -rto 50ms \
         -standby 127.0.0.1:$SBY_PORT -mesh "$MESH" -mesh-listen "$LISTEN" \
         > "$DIR/w$id.log" 2>&1 &
     WPIDS="$WPIDS $!"

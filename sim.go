@@ -214,6 +214,10 @@ func SimulateRack(params SimParams, tensor []int32) (SimResult, error) {
 			Path:     params.FlightFile,
 			Registry: cfg.Metrics,
 		})
+		// Incident files are written off the event loop; they must be
+		// on disk before the caller reads them. A failed write is
+		// ignored: incident files are best-effort diagnostics.
+		defer rec.Close()
 		if ring != nil {
 			cfg.Tracer = telemetry.Fanout(ring, rec)
 		} else {

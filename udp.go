@@ -57,13 +57,10 @@ type AggregatorParams struct {
 	// drains up to Batch datagrams per syscall (Linux recvmmsg, with
 	// UDP GRO/GSO segment trains where the kernel supports them), runs
 	// them to completion, and flushes every reply in one batched send.
-	// Zero selects 32; 1 selects the legacy one-datagram-per-syscall
-	// loops. SWITCHML_NO_MMSG=1 in the environment forces the portable
-	// per-packet syscalls regardless.
+	// Zero selects 32; 1 runs the same loops one datagram per wakeup.
+	// SWITCHML_NO_MMSG=1 in the environment forces netio's portable
+	// mode, one datagram per syscall, regardless.
 	Batch int
-	// BusyPoll makes shard receive loops spin briefly on an empty
-	// socket before parking in the poller, trading CPU for latency.
-	BusyPoll bool
 	// Inject, when non-nil, applies seeded loss, duplication and
 	// corruption to outgoing result datagrams (chaos testing).
 	Inject *FaultInjection
@@ -130,7 +127,6 @@ func ListenAggregator(addr string, params AggregatorParams) (*Aggregator, error)
 			LatePolicy:   params.LatePolicy.internal(),
 		},
 		Batch:    params.Batch,
-		BusyPoll: params.BusyPoll,
 		Liveness: params.Liveness.transport(),
 		Absent:   append([]int(nil), params.Absent...),
 		Inject:   params.Inject.internal(),
@@ -188,13 +184,20 @@ func (a *Aggregator) ServeDebug(addr string) (string, error) {
 	return bound, nil
 }
 
-// Close stops serving (and the debug listener, if one was started).
+// Close stops serving (and the debug listener, if one was started),
+// waiting for flight-recorder incident files still being written.
 func (a *Aggregator) Close() error {
 	if a.debugClose != nil {
 		a.debugClose()
 		a.debugClose = nil
 	}
-	return a.inner.Close()
+	err := a.inner.Close()
+	if a.rec != nil {
+		// Incident files are best-effort diagnostics: wait for the
+		// queued writes, but a failed one does not fail the close.
+		_ = a.rec.Close()
+	}
+	return err
 }
 
 // Stats returns the aggregation pool's protocol counters.
@@ -312,13 +315,11 @@ type PeerParams struct {
 	// Batch is the I/O burst ceiling: update sends accumulate into a
 	// window block flushed as one batched write, and each receive
 	// wakeup drains up to Batch result datagrams in one syscall. Zero
-	// selects 32; 1 selects the legacy one-datagram-per-syscall path.
+	// selects 32; 1 runs the same path one datagram per flush and
+	// wakeup (SWITCHML_NO_MMSG=1 forces one datagram per syscall).
 	// Must not be confused with protocol windowing — the slot pool is
 	// unchanged; only the syscall boundary moves.
 	Batch int
-	// BusyPoll makes the receive path spin briefly on an empty socket
-	// before parking in the poller, trading CPU for latency.
-	BusyPoll bool
 	// AdaptiveRTO replaces the fixed RTO with a Jacobson/Karn
 	// estimator (SRTT + 4·RTTVAR, clamped to [RTO, 64×RTO], samples
 	// only from never-retransmitted packets), so the retransmission
@@ -456,7 +457,6 @@ func DialAggregator(addr string, params PeerParams) (*Peer, error) {
 		Timeout:     params.Timeout,
 		Heartbeat:   params.Heartbeat,
 		Batch:       params.Batch,
-		BusyPoll:    params.BusyPoll,
 		Inject:      params.Inject.internal(),
 		AdaptiveRTO: params.AdaptiveRTO,
 		Standbys:    append([]string(nil), params.Standbys...),
@@ -510,13 +510,20 @@ func (p *Peer) ServeDebug(addr string) (string, error) {
 }
 
 // Close releases the socket (and the debug listener, if one was
-// started).
+// started), waiting for flight-recorder incident files still being
+// written.
 func (p *Peer) Close() error {
 	if p.debugClose != nil {
 		p.debugClose()
 		p.debugClose = nil
 	}
-	return p.inner.Close()
+	err := p.inner.Close()
+	if p.rec != nil {
+		// Incident files are best-effort diagnostics: wait for the
+		// queued writes, but a failed one does not fail the close.
+		_ = p.rec.Close()
+	}
+	return err
 }
 
 // MeshAddr returns the fallback mesh's bound "host:port", or "" when
