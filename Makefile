@@ -1,5 +1,5 @@
-# The `check` target is the tier-1 gate (see ROADMAP.md): vet, lint
-# (the project's own static-analysis suite), build, the full test
+# The `check` target is the tier-1 gate (see ROADMAP.md): gofmt, vet,
+# lint (the project's own static-analysis suite), build, the full test
 # suite, and the race detector over every package with real
 # concurrency — the UDP transport, the telemetry registry, the rack
 # host timers, the sharded aggregation core, the event scheduler and
@@ -7,6 +7,7 @@
 # netio's portable mode. CI and pre-commit should run `make check`.
 
 GO ?= go
+GOFMT ?= gofmt
 
 # Packages whose UDP traffic goes through internal/netio; the portable
 # target reruns their tests in netio's one-datagram-per-syscall mode.
@@ -17,9 +18,15 @@ PORTABLE_PKGS = ./internal/transport ./internal/netio .
 RACE_PKGS = ./internal/transport ./internal/telemetry ./internal/rack \
 	./internal/core ./internal/netsim ./internal/netio .
 
-.PHONY: check vet lint lint-one lint-allows lint-sarif build test race portable chaos fuzz bench bench-smoke bench-golden top-smoke flight-check elastic-smoke failover-smoke examples clean
+.PHONY: check fmt vet lint lint-one lint-allows lint-sarif build test race portable chaos fuzz bench bench-smoke bench-golden top-smoke flight-check elastic-smoke failover-smoke multijob-smoke examples clean
 
-check: vet lint build test race portable chaos bench-smoke bench-golden top-smoke flight-check elastic-smoke failover-smoke
+check: fmt vet lint build test race portable chaos bench-smoke bench-golden top-smoke flight-check elastic-smoke failover-smoke multijob-smoke
+
+# Format gate: gofmt must have nothing to say outside testdata/, whose
+# analyzer goldens align their `// want` comments by hand.
+fmt:
+	@out=$$($(GOFMT) -l . | grep -v '/testdata/' || true); \
+	if [ -n "$$out" ]; then echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
 vet:
 	$(GO) vet ./...
@@ -129,6 +136,12 @@ failover-smoke:
 	$(GO) run ./cmd/switchml-sim -workers 4 -mb 1 -steps 12 -standby 1 \
 		-switch-kill 100us -switch-revive 10ms | grep "home rank now 0"
 	./scripts/failover_smoke.sh
+
+# Multi-job gate: one live aggregator serving two jobs' pools (the §6
+# multi-tenant scenario) while each job's workers verify their
+# aggregates; -jobs 2 must be refused with the failure detector armed.
+multijob-smoke:
+	./scripts/multijob_smoke.sh
 
 # Build every example program.
 examples:

@@ -14,18 +14,20 @@
 // optionally revives, driving workers armed with -standby and -mesh
 // down and back up their failover ladder.
 //
-// With -jobs 1 it serves a single pool (switchml.ListenAggregator);
-// with -jobs N it serves N pools with job ids job-base..job-base+N-1,
-// which multi-tenant deployments and sharded multi-core workers
-// (switchml.DialSharded) both use. Workers connect with matching
-// parameters; the aggregator learns their addresses from their first
-// packets, so no registration is needed.
+// It serves N pools (-jobs N) with job ids job-base..job-base+N-1 on
+// one set of sockets and shards: one job by default, or one per tenant
+// job or per core shard of sharded multi-core workers
+// (switchml.DialSharded). Workers connect with matching parameters;
+// the aggregator learns their addresses from their first packets, so
+// no registration is needed. With more than one pool it routes model
+// updates by job id and answers no control traffic, so -liveness (and
+// with it -absent) needs -jobs 1.
 //
-// Elastic membership (single-pool mode, needs -liveness): -absent
-// lists worker ids that start outside the job and may join later
-// (switchml-worker -join); -quorum N completes each slot once N of
-// the current members contributed, with late straggler updates
-// handled per -late-policy (drop or reconcile).
+// Elastic membership (needs -liveness): -absent lists worker ids that
+// start outside the job and may join later (switchml-worker -join).
+// -quorum N completes each slot once N of the current members
+// contributed, with late straggler updates handled per -late-policy
+// (drop or reconcile).
 //
 // -metrics exposes the switch counters as JSON over HTTP at /stats.
 // -debug starts the introspection listener: /metrics (plain-text
@@ -59,11 +61,11 @@ func main() {
 	metrics := flag.String("metrics", "", "optional HTTP address exposing /stats")
 	debug := flag.String("debug", "", "optional HTTP address exposing /metrics, expvar and pprof")
 	liveness := flag.Duration("liveness", 0,
-		"failure-detector silence threshold (0 = off); workers silent this long are evicted and the job resumes among survivors")
+		"failure-detector silence threshold (0 = off; needs -jobs 1); workers silent this long are evicted and the job resumes among survivors")
 	flightDir := flag.String("flight-dir", "",
 		"arm a fault flight recorder: fault transitions dump JSON incident files (recent events, metric delta, per-slot state) into this directory")
 	absent := flag.String("absent", "",
-		"comma-separated worker ids that start outside the membership and may join later (requires -liveness; single-pool mode)")
+		"comma-separated worker ids that start outside the membership and may join later (requires -liveness)")
 	quorum := flag.Int("quorum", 0,
 		"complete each slot once this many members contributed (0 = full participation); stragglers handled per -late-policy")
 	latePolicy := flag.String("late-policy", "drop",
@@ -71,7 +73,7 @@ func main() {
 	batch := flag.Int("batch", 0,
 		"per-shard I/O burst ceiling: datagrams per recvmmsg/sendmmsg (0 = 32; SWITCHML_NO_MMSG=1 forces one datagram per syscall)")
 	downAfter := flag.Duration("down-after", 0,
-		"failover drill: this long after startup, silently drop every datagram as a dead switch program would (0 = never; single-pool mode)")
+		"failover drill: this long after startup, silently drop every datagram as a dead switch program would (0 = never)")
 	downFor := flag.Duration("down-for", 0,
 		"failover drill: revive the program this long after -down-after (0 = stay down)")
 	flag.Parse()
@@ -107,74 +109,47 @@ func main() {
 		params.Liveness = &switchml.LivenessParams{SilenceAfter: *liveness}
 	}
 	if *flightDir != "" {
-		if *jobs > 1 {
-			log.Printf("switchml-agg: -flight-dir applies only to single-pool mode; ignored with -jobs > 1")
-		} else {
-			params.Flight = &switchml.FlightParams{Dir: *flightDir}
-		}
+		params.Flight = &switchml.FlightParams{Dir: *flightDir}
 	}
 
-	var statsFn func() any
-	var debugFn func(string) (string, error)
-	var addr string
-	if *jobs <= 1 {
-		params.JobID = uint16(*jobBase)
-		agg, err := switchml.ListenAggregator(*listen, params)
-		if err != nil {
-			log.Fatal(err)
+	params.JobID = uint16(*jobBase)
+	agg, err := switchml.ListenAggregator(*listen, params)
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer agg.Close()
+	for j := 1; j < *jobs; j++ {
+		if err := agg.AdmitJob(params.JobID+uint16(j), params); err != nil {
+			log.Fatalf("switchml-agg: -jobs %d: %v", *jobs, err)
 		}
-		defer agg.Close()
-		addr = agg.Addr()
-		statsFn = func() any { return agg.Stats() }
-		debugFn = agg.ServeDebug
-		if *downAfter > 0 {
-			agg := agg
-			time.AfterFunc(*downAfter, func() {
-				fmt.Println("switchml-agg: drill: aggregation program down")
-				agg.SetDown(true)
-				if *downFor > 0 {
-					time.AfterFunc(*downFor, func() {
-						fmt.Println("switchml-agg: drill: aggregation program revived")
-						agg.SetDown(false)
-					})
-				}
-			})
-		}
-	} else {
-		if params.Liveness != nil {
-			log.Printf("switchml-agg: -liveness applies only to single-pool mode; ignored with -jobs > 1")
-		}
-		if *downAfter > 0 {
-			log.Printf("switchml-agg: -down-after applies only to single-pool mode; ignored with -jobs > 1")
-		}
-		if len(params.Absent) > 0 || params.Quorum > 0 {
-			log.Printf("switchml-agg: -absent and -quorum apply only to single-pool mode; ignored with -jobs > 1")
-			params.Absent = nil
-			params.Quorum = 0
-		}
-		m, err := switchml.ListenMultiAggregator(*listen, 0)
-		if err != nil {
-			log.Fatal(err)
-		}
-		defer m.Close()
-		if err := m.AdmitShardedJob(uint16(*jobBase), *jobs, params); err != nil {
-			log.Fatal(err)
-		}
-		addr = m.Addr()
-		debugFn = m.ServeDebug
+	}
+	statsFn := func() any { return agg.Stats() }
+	if *jobs > 1 {
 		statsFn = func() any {
 			out := map[string]any{}
 			for j := 0; j < *jobs; j++ {
-				id := uint16(*jobBase) + uint16(j)
-				if st, ok := m.JobStats(id); ok {
+				id := params.JobID + uint16(j)
+				if st, ok := agg.JobStats(id); ok {
 					out[fmt.Sprintf("job%d", id)] = st
 				}
 			}
 			return out
 		}
 	}
+	if *downAfter > 0 {
+		time.AfterFunc(*downAfter, func() {
+			fmt.Println("switchml-agg: drill: aggregation program down")
+			agg.SetDown(true)
+			if *downFor > 0 {
+				time.AfterFunc(*downFor, func() {
+					fmt.Println("switchml-agg: drill: aggregation program revived")
+					agg.SetDown(false)
+				})
+			}
+		})
+	}
 	fmt.Printf("switchml-agg: serving %d pool(s) for %d-worker jobs on %s (pool %d, k=%d)\n",
-		*jobs, *workers, addr, *pool, *elems)
+		*jobs, *workers, agg.Addr(), *pool, *elems)
 
 	if *metrics != "" {
 		mux := http.NewServeMux()
@@ -194,7 +169,7 @@ func main() {
 		fmt.Printf("switchml-agg: stats at http://%s/stats\n", ln.Addr())
 	}
 	if *debug != "" {
-		bound, err := debugFn(*debug)
+		bound, err := agg.ServeDebug(*debug)
 		if err != nil {
 			log.Fatalf("switchml-agg: debug server: %v", err)
 		}

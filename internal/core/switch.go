@@ -142,8 +142,8 @@ type switchCounters struct {
 	// stragglers' subsequent updates per policy, and goneReplies the
 	// empty unicast results that told a straggler its phase's retained
 	// value was already evicted.
-	quorumCompletions, lateDropped  *telemetry.Counter
-	lateReconciled, goneReplies     *telemetry.Counter
+	quorumCompletions, lateDropped *telemetry.Counter
+	lateReconciled, goneReplies    *telemetry.Counter
 	// slotFill observes phase-open-to-completion latency per slot in
 	// nanoseconds (only fed when the switch has a clock).
 	slotFill *telemetry.Histogram

@@ -41,9 +41,14 @@ type AggregatorConfig struct {
 	// Addr is the UDP listen address, e.g. "127.0.0.1:5555" or
 	// ":5555".
 	Addr string
-	// Switch is the aggregation pool configuration; LossRecovery
-	// should be true on any real network.
+	// Switch is the pool configuration of the job admitted at
+	// construction; LossRecovery should be true on any real network.
+	// More jobs join the table through AdmitJob.
 	Switch core.SwitchConfig
+	// MemoryBudget caps the admitted jobs' total register memory in
+	// bytes, the admission check of §6 "Multi-job"; zero means
+	// unlimited.
+	MemoryBudget int
 	// Shards is the number of receive goroutines draining the socket,
 	// the software analogue of the paper's Flow Director steering
 	// (Appendix B: "every CPU core ... uses a disjoint set of
@@ -95,10 +100,11 @@ type AggregatorConfig struct {
 	Tracer telemetry.Tracer
 }
 
-// Aggregator is a UDP server hosting one job's aggregation pool. It
-// learns worker addresses from the source of their update packets,
-// so no registration step is needed; a worker must send before it
-// can receive, which the protocol guarantees.
+// Aggregator is a UDP server hosting a table of jobs' aggregation
+// pools (jobs.go) — usually one. It learns worker addresses from the
+// source of their update packets, so no registration step is needed;
+// a worker must send before it can receive, which the protocol
+// guarantees.
 //
 // N shard goroutines drain the socket concurrently; each owns its
 // receive buffer, decoded packet, response packet and wire buffer, so
@@ -114,8 +120,10 @@ type Aggregator struct {
 	// or one SO_REUSEPORT socket per shard where the platform allows.
 	// conn == conns[0] always; the control plane sends on it.
 	conns []*net.UDPConn
-	sw    *core.ShardedSwitch
-	reg   *telemetry.Registry
+	// jobs is the job table, ascending by id: swapped copy-on-write
+	// under mu, loaded once per burst by the shard loops.
+	jobs atomic.Pointer[[]*aggJob]
+	reg  *telemetry.Registry
 	// netMode names the netio mode the shard loops run (portable,
 	// mmsg or gso). Written once before the serving goroutines start.
 	netMode string
@@ -126,6 +134,9 @@ type Aggregator struct {
 	// resume kinds); a nonzero value means a peer is confused or a new
 	// kind is missing its arm.
 	unexpected *telemetry.Counter
+	// unroutable counts well-formed datagrams for no admitted job, or
+	// from a worker id outside their job's universe.
+	unroutable *telemetry.Counter
 	// sendErrs counts result/control datagrams whose socket send
 	// failed. UDP stays best-effort — the protocol's loss recovery
 	// owns repair — but a non-zero rate points at dead routes or
@@ -137,9 +148,6 @@ type Aggregator struct {
 
 	inj *faults.PacketInjector
 
-	// peers is the learned worker address table, indexed by worker
-	// id. Entries are written at most once per address change.
-	peers []atomic.Pointer[netip.AddrPort]
 	// down simulates the aggregation program dying while the host and
 	// its address stay up: every datagram is silently discarded, so
 	// workers see pure silence — the failure mode the client-side
@@ -149,7 +157,7 @@ type Aggregator struct {
 	// per-packet path, written under mu by recovery.
 	epoch atomic.Uint32
 
-	mu sync.Mutex // guards the recovery state machine (lv)
+	mu sync.Mutex // guards the recovery state machine (lv) and job table swaps
 	lv *liveness  // nil unless cfg.Liveness is set
 
 	// Warm-standby adoption state (failover.go), guarded by mu: adopt
@@ -184,15 +192,16 @@ type aggShard struct {
 	// results so one flush sends the same bytes to every peer as a
 	// segment train (the completed results of a burst are identical
 	// for all workers, so the block is built once and addressed W
-	// times).
+	// times); blockJob is the job whose peers it goes to.
 	nc       *netio.Conn
 	occ      *telemetry.Histogram
 	block    []byte
 	blockSeg int
+	blockJob *aggJob
 }
 
-// NewAggregator binds the socket(s) and starts the serving
-// goroutines.
+// NewAggregator admits the configured job, binds the socket(s) and
+// starts the serving goroutines.
 func NewAggregator(cfg AggregatorConfig) (*Aggregator, error) {
 	if cfg.Shards <= 0 {
 		cfg.Shards = 4
@@ -200,57 +209,42 @@ func NewAggregator(cfg AggregatorConfig) (*Aggregator, error) {
 	if cfg.Batch <= 0 {
 		cfg.Batch = DefaultBatch
 	}
+	if len(cfg.Absent) > 0 && cfg.Liveness == nil {
+		return nil, fmt.Errorf("transport: Absent workers need Liveness (elastic membership rides on the failure detector)")
+	}
 	reg := cfg.Metrics
 	if reg == nil {
 		reg = telemetry.NewRegistry()
 	}
-	cfg.Switch.Metrics = reg
-	cfg.Switch.Tracer = cfg.Tracer
-	if cfg.Switch.Now == nil {
-		cfg.Switch.Now = telemetry.WallClock
-	}
-	sw, err := core.NewShardedSwitch(cfg.Switch)
-	if err != nil {
-		return nil, err
-	}
-	var inj *faults.PacketInjector
-	if cfg.Inject != nil {
-		inj, err = faults.NewPacketInjector(*cfg.Inject)
-		if err != nil {
-			return nil, err
-		}
-	}
-	conns, err := bindAggSockets(cfg.Addr, cfg.Shards)
-	if err != nil {
-		return nil, err
-	}
-	conn := conns[0]
 	a := &Aggregator{
 		cfg:        cfg,
-		conn:       conn,
-		conns:      conns,
-		sw:         sw,
 		reg:        reg,
-		inj:        inj,
 		recvd:      reg.Counter("udp_datagrams_received_total", "role", "aggregator"),
 		corrupt:    reg.Counter("udp_datagrams_corrupted_total", "role", "aggregator"),
 		sent:       reg.Counter("udp_datagrams_sent_total", "role", "aggregator"),
 		sendErrs:   reg.Counter("udp_send_errors_total", "role", "aggregator"),
 		unexpected: reg.Counter("udp_unexpected_kind_total", "role", "aggregator"),
+		unroutable: reg.Counter("udp_unroutable_total", "role", "aggregator"),
 		adoptions:  reg.Counter("failover_adoptions_total", "role", "aggregator"),
-		peers:      make([]atomic.Pointer[netip.AddrPort], cfg.Switch.Workers),
 		closed:     make(chan struct{}),
 	}
-	a.epoch.Store(uint32(cfg.Switch.JobID))
-	if len(cfg.Absent) > 0 && cfg.Liveness == nil {
-		closeAll(conns)
-		return nil, fmt.Errorf("transport: Absent workers need Liveness (elastic membership rides on the failure detector)")
+	a.jobs.Store(&[]*aggJob{})
+	job, err := a.admitLocked(cfg.Switch)
+	if err != nil {
+		return nil, err
+	}
+	if cfg.Inject != nil {
+		a.inj, err = faults.NewPacketInjector(*cfg.Inject)
+		if err != nil {
+			return nil, err
+		}
 	}
 	if cfg.Liveness != nil {
 		lc := *cfg.Liveness
 		lc.fillDefaults()
 		a.lv = &liveness{
 			cfg:       lc,
+			job:       job,
 			tracker:   faults.NewTracker(cfg.Switch.Workers, int64(lc.SilenceAfter)),
 			reported:  make([]bool, cfg.Switch.Workers),
 			leavePend: make([]bool, cfg.Switch.Workers),
@@ -264,7 +258,6 @@ func NewAggregator(cfg AggregatorConfig) (*Aggregator, error) {
 			}
 			for _, w := range cfg.Absent {
 				if w < 0 || w >= cfg.Switch.Workers {
-					closeAll(conns)
 					return nil, fmt.Errorf("transport: absent worker %d out of range [0,%d)", w, cfg.Switch.Workers)
 				}
 				// Departed, not dead: the slot is empty by intent, and
@@ -272,11 +265,17 @@ func NewAggregator(cfg AggregatorConfig) (*Aggregator, error) {
 				a.lv.tracker.MarkDeparted(w)
 				active[w] = false
 			}
-			if err := a.sw.Reconfigure(active, cfg.Switch.JobID); err != nil {
-				closeAll(conns)
+			if err := job.sw.Reconfigure(active, cfg.Switch.JobID); err != nil {
 				return nil, err
 			}
 		}
+	}
+	conns, err := bindAggSockets(cfg.Addr, cfg.Shards)
+	if err != nil {
+		return nil, err
+	}
+	a.conn, a.conns = conns[0], conns
+	if a.lv != nil {
 		a.wg.Add(1)
 		go a.sweepLoop()
 	}
@@ -371,11 +370,17 @@ func (a *Aggregator) Addr() *net.UDPAddr { return a.conn.LocalAddr().(*net.UDPAd
 // allocated when none was supplied.
 func (a *Aggregator) Registry() *telemetry.Registry { return a.reg }
 
-// Stats returns the switch state machine counters. The counters are
-// atomic, so this is safe to call concurrently with the serving
-// goroutines — no lock is taken and packet handling is never stalled
-// by monitoring reads.
-func (a *Aggregator) Stats() core.SwitchStats { return a.sw.Stats() }
+// Stats returns the switch state machine counters of a one-job
+// table's job (the zero value with any other job count; see
+// JobStats). The counters are atomic, so this is safe to call
+// concurrently with the serving goroutines — no lock is taken and
+// packet handling is never stalled by monitoring reads.
+func (a *Aggregator) Stats() core.SwitchStats {
+	if j := a.solo(); j != nil {
+		return j.sw.Stats()
+	}
+	return core.SwitchStats{}
+}
 
 // Close shuts the server down and waits for the serving goroutines.
 func (a *Aggregator) Close() error {
@@ -402,7 +407,9 @@ func (a *Aggregator) Close() error {
 // multicast results riding a single segmentation-offload train per
 // peer. Control handlers (join/leave/report/heartbeat) send
 // immediately on the control socket; the update/result path and the
-// shard's own replies are staged.
+// shard's own replies are staged. Each burst routes against one job
+// table snapshot, so a concurrent ReleaseJob cannot pull a job out
+// from under a handler.
 func (a *Aggregator) serve(sh *aggShard) {
 	defer a.wg.Done()
 	for {
@@ -424,31 +431,40 @@ func (a *Aggregator) serve(sh *aggShard) {
 		if a.down.Load() {
 			continue // the aggregation program is "dead": pure silence
 		}
+		tab := a.table()
 		for i := 0; i < n; i++ {
 			m := &sh.nc.Msgs[i]
 			if err := packet.UnmarshalInto(&sh.pkt, m.Buf); err != nil {
 				a.corrupt.Inc()
 				continue // corrupted datagram: drop (§3.4)
 			}
-			if int(sh.pkt.WorkerID) >= len(a.peers) {
+			j := route(tab, sh.pkt.JobID)
+			if j == nil || int(sh.pkt.WorkerID) >= len(j.peers) {
+				a.unroutable.Inc()
+				continue
+			}
+			if len(tab) > 1 && sh.pkt.Kind != packet.KindUpdate {
+				// Control planes fence generations, which need the id
+				// space of one job.
+				a.unexpected.Inc()
 				continue
 			}
 			//switchml:dispatch
 			switch sh.pkt.Kind {
 			case packet.KindUpdate:
-				a.handleUpdate(sh, m.Addr)
+				a.handleUpdate(sh, j, m.Addr)
 			case packet.KindHeartbeat:
 				a.touch(&sh.pkt, m.Addr)
 			case packet.KindReport:
 				a.handleReport(&sh.pkt, m.Addr)
 			case packet.KindProbe:
-				a.handleProbe(sh, m.Addr)
+				a.handleProbe(sh, j, m.Addr)
 			case packet.KindJoin:
 				a.handleJoin(&sh.pkt, m.Addr)
 			case packet.KindLeave:
 				a.handleLeave(&sh.pkt, m.Addr)
 			case packet.KindAdoptJob:
-				a.handleAdopt(sh, m.Addr)
+				a.handleAdopt(sh, j, m.Addr)
 			default:
 				// Workers never originate result/reconfig/resume kinds;
 				// count the drop so a confused peer is visible.
@@ -462,29 +478,32 @@ func (a *Aggregator) serve(sh *aggShard) {
 // stageMulticast accumulates the burst's multicast results. Completed
 // slot results are byte-identical for every worker, so the shard
 // builds the block once and flushShard addresses it to each peer as
-// one segment train. A segment-size change or a full block flushes
-// eagerly — correctness never depends on the burst boundary.
+// one segment train. A job switch, a segment-size change or a full
+// block flushes eagerly — correctness never depends on the burst
+// boundary.
 //
 //switchml:hotpath
-func (a *Aggregator) stageMulticast(sh *aggShard) {
-	if sh.blockSeg != 0 && (sh.blockSeg != len(sh.wire) || len(sh.block)+len(sh.wire) > cap(sh.block)) {
+func (a *Aggregator) stageMulticast(sh *aggShard, j *aggJob) {
+	if sh.blockSeg != 0 && (sh.blockJob != j || sh.blockSeg != len(sh.wire) || len(sh.block)+len(sh.wire) > cap(sh.block)) {
 		a.flushShard(sh)
 	}
 	sh.blockSeg = len(sh.wire)
+	sh.blockJob = j
 	sh.block = append(sh.block, sh.wire...) //switchml:allow hotpath -- append into a fixed-capacity block; the flush above guarantees room
 
 }
 
 // flushShard fans the accumulated multicast block out to every known
-// peer as a segment train and pushes all staged datagrams to the
-// kernel in one batched send.
+// peer of its job as a segment train and pushes all staged datagrams
+// to the kernel in one batched send.
 //
 //switchml:hotpath
 func (a *Aggregator) flushShard(sh *aggShard) {
 	if len(sh.block) > 0 {
 		segs := uint64((len(sh.block) + sh.blockSeg - 1) / sh.blockSeg)
-		for i := range a.peers {
-			if ap := a.peers[i].Load(); ap != nil {
+		peers := sh.blockJob.peers
+		for i := range peers {
+			if ap := peers[i].Load(); ap != nil {
 				sh.nc.AppendTrain(sh.block, sh.blockSeg, *ap)
 				a.sent.Add(segs)
 			}
@@ -496,6 +515,7 @@ func (a *Aggregator) flushShard(sh *aggShard) {
 	// untouched until the kernel has copied it out.
 	sh.block = sh.block[:0]
 	sh.blockSeg = 0
+	sh.blockJob = nil
 }
 
 // reply stages a control datagram back to a packet's source on the
@@ -520,25 +540,15 @@ func (a *Aggregator) writeCtrl(wire []byte, to netip.AddrPort) {
 // epochNow returns the current job generation.
 func (a *Aggregator) epochNow() uint16 { return uint16(a.epoch.Load()) }
 
-// setPeer records the worker's address, writing only on change so
-// the steady-state path stays read-only and allocation-free.
-func (a *Aggregator) setPeer(w uint16, src netip.AddrPort) {
-	if cur := a.peers[w].Load(); cur != nil && *cur == src {
-		return
-	}
-	ap := src
-	a.peers[w].Store(&ap)
-}
-
-// handleUpdate feeds one model-update into the pool. With a liveness
-// detector attached it also polices membership: traffic from a
-// retired worker is answered with the reconfigure directive (so a
+// handleUpdate feeds one model-update into its job's pool. With a
+// liveness detector attached it also polices membership: traffic from
+// a retired worker is answered with the reconfigure directive (so a
 // merely-slow worker learns it was evicted and can fail fast), and
 // stale-generation traffic from a live worker means the resume
 // directive was lost — it is re-sent instead of feeding the pool.
 // The clean path — touch the tracker, aggregate, reply — takes no
 // lock beyond the packet's slot.
-func (a *Aggregator) handleUpdate(sh *aggShard, src netip.AddrPort) {
+func (a *Aggregator) handleUpdate(sh *aggShard, j *aggJob, src netip.AddrPort) {
 	p := &sh.pkt
 	w := int(p.WorkerID)
 	if a.lv != nil {
@@ -562,8 +572,8 @@ func (a *Aggregator) handleUpdate(sh *aggShard, src netip.AddrPort) {
 			return
 		}
 	}
-	a.setPeer(p.WorkerID, src)
-	resp := a.sw.HandleInto(p, &sh.out)
+	j.setPeer(p.WorkerID, src)
+	resp := j.sw.HandleInto(p, &sh.out)
 	if resp.Pkt == nil {
 		return
 	}
@@ -573,18 +583,18 @@ func (a *Aggregator) handleUpdate(sh *aggShard, src netip.AddrPort) {
 	sh.wire = resp.Pkt.AppendMarshal(sh.wire[:0])
 	if resp.Multicast {
 		if a.inj == nil {
-			a.stageMulticast(sh)
+			a.stageMulticast(sh, j)
 			return
 		}
-		for i := range a.peers {
-			if ap := a.peers[i].Load(); ap != nil {
+		for i := range j.peers {
+			if ap := j.peers[i].Load(); ap != nil {
 				a.stageResult(sh, *ap)
 			}
 		}
 		return
 	}
-	if int(resp.Pkt.WorkerID) < len(a.peers) {
-		if ap := a.peers[resp.Pkt.WorkerID].Load(); ap != nil {
+	if int(resp.Pkt.WorkerID) < len(j.peers) {
+		if ap := j.peers[resp.Pkt.WorkerID].Load(); ap != nil {
 			a.stageResult(sh, *ap)
 		}
 	}
@@ -598,7 +608,7 @@ func (a *Aggregator) handleUpdate(sh *aggShard, src netip.AddrPort) {
 // that keeps anything aggregated before the outage from leaking into
 // post-failback slots. The ack echoes the probe sequence so the
 // worker can match it to its probation window.
-func (a *Aggregator) handleProbe(sh *aggShard, src netip.AddrPort) {
+func (a *Aggregator) handleProbe(sh *aggShard, j *aggJob, src netip.AddrPort) {
 	p := &sh.pkt
 	if a.lv != nil {
 		if a.lv.tracker.Dead(int(p.WorkerID)) {
@@ -608,11 +618,13 @@ func (a *Aggregator) handleProbe(sh *aggShard, src netip.AddrPort) {
 		// update path but very much alive.
 		a.lv.tracker.Touch(int(p.WorkerID), time.Now().UnixNano())
 	}
-	a.setPeer(p.WorkerID, src)
+	j.setPeer(p.WorkerID, src)
 	if int16(p.JobID-a.epochNow()) > 0 {
 		a.mu.Lock()
-		if prop := p.JobID; int16(prop-a.epochNow()) > 0 {
-			if a.sw.Reconfigure(nil, prop) == nil {
+		// A job admitted since this burst's table snapshot freezes
+		// generations (jobs.go); the table cannot change under mu.
+		if prop := p.JobID; int16(prop-a.epochNow()) > 0 && a.solo() == j {
+			if j.sw.Reconfigure(nil, prop) == nil {
 				a.epoch.Store(uint32(prop))
 				a.traceCtrl(telemetry.EvReconfigure, int32(p.WorkerID), int64(prop))
 			}
@@ -661,16 +673,19 @@ func (a *Aggregator) stageResult(sh *aggShard, peer netip.AddrPort) {
 	}
 }
 
-// Reset clears the aggregation pools and forgets worker addresses,
-// preparing the aggregator for a restarted job (§3.2: worker failures
-// are handled by the framework restarting the job). In-flight
-// datagrams from the dead job are rejected by the fresh state.
+// Reset clears every job's aggregation pool and forgets worker
+// addresses, preparing the aggregator for a restarted job (§3.2:
+// worker failures are handled by the framework restarting the job).
+// In-flight datagrams from the dead job are rejected by the fresh
+// state.
 func (a *Aggregator) Reset() {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	a.sw.Reset()
-	for i := range a.peers {
-		a.peers[i].Store(nil)
+	for _, j := range a.table() {
+		j.sw.Reset()
+		for i := range j.peers {
+			j.peers[i].Store(nil)
+		}
 	}
 	a.adopt = nil
 	a.adoptGen, a.adoptFrontier, a.adoptDone = 0, 0, false

@@ -160,10 +160,10 @@ func TestShardStageFlushZeroAlloc(t *testing.T) {
 	a := &Aggregator{
 		sent:     reg.Counter("test_sent"),
 		sendErrs: reg.Counter("test_send_errors"),
-		peers:    make([]atomic.Pointer[netip.AddrPort], 2),
 	}
-	a.peers[0].Store(&ap)
-	a.peers[1].Store(&ap)
+	j := &aggJob{peers: make([]atomic.Pointer[netip.AddrPort], 2)}
+	j.peers[0].Store(&ap)
+	j.peers[1].Store(&ap)
 	sh := &aggShard{
 		nc:    nc,
 		wire:  make([]byte, 128),
@@ -171,7 +171,7 @@ func TestShardStageFlushZeroAlloc(t *testing.T) {
 	}
 	step := func() {
 		for k := 0; k < 4; k++ {
-			a.stageMulticast(sh)
+			a.stageMulticast(sh, j)
 		}
 		a.flushShard(sh)
 	}

@@ -43,10 +43,15 @@ type AggDebugState struct {
 	// BatchOccupancyP50/P99 are quantiles of datagrams drained per
 	// receive wakeup, merged across shards: how full the batch
 	// pipeline actually runs.
-	BatchOccupancyP50 float64          `json:"batch_occupancy_p50"`
-	BatchOccupancyP99 float64          `json:"batch_occupancy_p99"`
-	Switch            core.SwitchStats `json:"switch"`
-	Pool              core.PoolState   `json:"pool"`
+	BatchOccupancyP50 float64 `json:"batch_occupancy_p50"`
+	BatchOccupancyP99 float64 `json:"batch_occupancy_p99"`
+	// Jobs are the admitted job ids, ascending. Switch, Pool, Peers,
+	// Alive and Membership describe the job of a one-job table and
+	// stay empty with more jobs, whose per-job counters carry a job
+	// label in the registry.
+	Jobs   []uint16         `json:"jobs"`
+	Switch core.SwitchStats `json:"switch"`
+	Pool   core.PoolState   `json:"pool"`
 	// Peers are the learned worker addresses ("" while unlearned);
 	// Alive the liveness verdicts (all true without a detector).
 	Peers []string `json:"peers"`
@@ -63,6 +68,7 @@ type AggDebugState struct {
 // withSlots additionally dumps every slot's state (count, offset,
 // seen bitmap), the level of detail incident files want.
 func (a *Aggregator) DebugState(withSlots bool) AggDebugState {
+	tab := a.table()
 	st := AggDebugState{
 		Role:           "aggregator",
 		Epoch:          a.epochNow(),
@@ -76,10 +82,7 @@ func (a *Aggregator) DebugState(withSlots bool) AggDebugState {
 		Sent:           a.sent.Value(),
 		SendErrors:     a.sendErrs.Value(),
 		Adoptions:      a.adoptions.Value(),
-		Switch:         a.sw.Stats(),
-		Pool:           a.sw.PoolState(withSlots),
-		Peers:          make([]string, len(a.peers)),
-		Alive:          make([]bool, len(a.peers)),
+		Jobs:           jobIDs(tab),
 	}
 	for i, sh := range a.shards {
 		st.ShardDatagrams[i] = sh.datagrams.Value()
@@ -88,9 +91,17 @@ func (a *Aggregator) DebugState(withSlots bool) AggDebugState {
 	occ := a.occupancySnapshot()
 	st.BatchOccupancyP50 = occ.Quantile(0.5)
 	st.BatchOccupancyP99 = occ.Quantile(0.99)
-	st.Membership = make([]string, len(a.peers))
-	for i := range a.peers {
-		if ap := a.peers[i].Load(); ap != nil {
+	if len(tab) != 1 {
+		return st
+	}
+	j := tab[0]
+	st.Switch = j.sw.Stats()
+	st.Pool = j.sw.PoolState(withSlots)
+	st.Peers = make([]string, len(j.peers))
+	st.Alive = make([]bool, len(j.peers))
+	st.Membership = make([]string, len(j.peers))
+	for i := range j.peers {
+		if ap := j.peers[i].Load(); ap != nil {
 			st.Peers[i] = ap.String()
 		}
 		st.Alive[i] = a.Alive(i)

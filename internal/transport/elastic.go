@@ -65,7 +65,7 @@ func (a *Aggregator) handleJoin(p *packet.Packet, src netip.AddrPort) {
 	defer a.mu.Unlock()
 	lv := a.lv
 	w := int(p.WorkerID)
-	a.setPeer(p.WorkerID, src)
+	lv.job.setPeer(p.WorkerID, src)
 	if !lv.tracker.Dead(w) && lv.tracker.LastSeen(w) >= 0 && (lv.fence == nil || lv.fence.joiner != w) {
 		// Already a member: the commit's resume directive was lost.
 		if lv.resumeReady.Load() {
@@ -86,7 +86,7 @@ func (a *Aggregator) handleJoin(p *packet.Packet, src netip.AddrPort) {
 	lv.fence = &memberFence{
 		gen:       a.epochNow() + 1,
 		joiner:    w,
-		confirmed: make([]bool, len(a.peers)),
+		confirmed: make([]bool, len(lv.job.peers)),
 	}
 	a.sendFenceLocked()
 }
@@ -116,7 +116,7 @@ func (a *Aggregator) handleLeave(p *packet.Packet, src netip.AddrPort) {
 		lv.leaveArmed.Store(true)
 		a.traceCtrl(telemetry.EvDrainStart, int32(w), int64(p.Off))
 	}
-	a.setPeer(p.WorkerID, src)
+	lv.job.setPeer(p.WorkerID, src)
 	ack := packet.NewControl(packet.KindLeave, p.WorkerID, a.epochNow(), p.Off, nil).Marshal()
 	a.writeCtrl(ack, src)
 }
@@ -126,19 +126,19 @@ func (a *Aggregator) handleLeave(p *packet.Packet, src netip.AddrPort) {
 // member that has not confirmed yet. Marshalled once, worker id
 // patched per peer, like the §5.6 control sends.
 func (a *Aggregator) sendFenceLocked() {
-	f := a.lv.fence
+	f, peers := a.lv.fence, a.lv.job.peers
 	var vec []int32
-	for w := range a.peers {
+	for w := range peers {
 		if w == f.joiner || !a.lv.tracker.Dead(w) {
 			vec = append(vec, int32(w))
 		}
 	}
 	var wire []byte
-	for w := range a.peers {
+	for w := range peers {
 		if f.confirmed[w] || (w != f.joiner && a.lv.tracker.Dead(w)) {
 			continue
 		}
-		ap := a.peers[w].Load()
+		ap := peers[w].Load()
 		if ap == nil {
 			continue
 		}
@@ -176,7 +176,7 @@ func (a *Aggregator) handleFenceReport(p *packet.Packet, src netip.AddrPort) {
 		return
 	}
 	lv.tracker.Touch(w, time.Now().UnixNano())
-	a.setPeer(p.WorkerID, src)
+	lv.job.setPeer(p.WorkerID, src)
 	f.confirmed[w] = true
 	if w != f.joiner {
 		if p.Off > f.boundary {
@@ -190,7 +190,7 @@ func (a *Aggregator) handleFenceReport(p *packet.Packet, src netip.AddrPort) {
 	if !f.confirmed[f.joiner] {
 		return
 	}
-	for i := range a.peers {
+	for i := range lv.job.peers {
 		if i == f.joiner || lv.tracker.Dead(i) || lv.tracker.LastSeen(i) < 0 {
 			continue
 		}
@@ -210,11 +210,11 @@ func (a *Aggregator) commitFenceLocked() {
 	lv := a.lv
 	f := lv.fence
 	lv.fence = nil
-	active := make([]bool, len(a.peers))
+	active := make([]bool, len(lv.job.peers))
 	for i := range active {
 		active[i] = i == f.joiner || !lv.tracker.Dead(i)
 	}
-	if err := a.sw.Reconfigure(active, f.gen); err != nil {
+	if err := lv.job.sw.Reconfigure(active, f.gen); err != nil {
 		return
 	}
 	a.epoch.Store(uint32(f.gen))
@@ -229,11 +229,11 @@ func (a *Aggregator) commitFenceLocked() {
 	a.traceCtrl(telemetry.EvReconfigure, -1, int64(f.gen))
 	a.traceCtrl(telemetry.EvResume, -1, int64(f.boundary))
 	var wire []byte
-	for i := range a.peers {
+	for i := range lv.job.peers {
 		if !active[i] {
 			continue
 		}
-		ap := a.peers[i].Load()
+		ap := lv.job.peers[i].Load()
 		if ap == nil {
 			continue
 		}
@@ -293,7 +293,7 @@ func (a *Aggregator) elasticSweepLocked() {
 func (a *Aggregator) drainCommittableLocked(w int) bool {
 	lv := a.lv
 	rest := 0
-	for i := range a.peers {
+	for i := range lv.job.peers {
 		if i == w || lv.tracker.Dead(i) || lv.tracker.Draining(i) || lv.tracker.LastSeen(i) < 0 {
 			continue
 		}

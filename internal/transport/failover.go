@@ -447,7 +447,7 @@ type adoptFence struct {
 // voter at the minimum frontier — when the last member arrives. A
 // duplicate for an already-committed generation gets the release
 // re-sent, so a lost KindResume never wedges a voter.
-func (a *Aggregator) handleAdopt(sh *aggShard, src netip.AddrPort) {
+func (a *Aggregator) handleAdopt(sh *aggShard, j *aggJob, src netip.AddrPort) {
 	p := &sh.pkt
 	w := int(p.WorkerID)
 	if a.lv != nil {
@@ -456,7 +456,7 @@ func (a *Aggregator) handleAdopt(sh *aggShard, src netip.AddrPort) {
 		// back.
 		a.lv.tracker.MarkAlive(w, time.Now().UnixNano())
 	}
-	a.setPeer(p.WorkerID, src)
+	j.setPeer(p.WorkerID, src)
 	a.mu.Lock()
 	if int16(p.JobID-a.epochNow()) <= 0 {
 		// Stale proposal, or a duplicate for a committed adoption whose
@@ -473,7 +473,7 @@ func (a *Aggregator) handleAdopt(sh *aggShard, src netip.AddrPort) {
 	if f == nil || int16(p.JobID-f.gen) > 0 {
 		// A fresh roll call, or one for a strictly newer generation —
 		// which supersedes the old: its voters re-send at their RTO.
-		f = &adoptFence{gen: p.JobID, seen: make([]bool, len(a.peers)), frontier: ^uint64(0)}
+		f = &adoptFence{gen: p.JobID, seen: make([]bool, len(j.peers)), frontier: ^uint64(0)}
 		a.adopt = f
 	}
 	if !f.seen[w] {
@@ -483,8 +483,8 @@ func (a *Aggregator) handleAdopt(sh *aggShard, src netip.AddrPort) {
 	if p.Off < f.frontier {
 		f.frontier = p.Off
 	}
-	if f.count >= a.adoptQuorumLocked() {
-		a.commitAdoptLocked(f)
+	if f.count >= a.adoptQuorumLocked(j) {
+		a.commitAdoptLocked(j, f)
 		a.mu.Unlock()
 		return
 	}
@@ -500,12 +500,12 @@ func (a *Aggregator) handleAdopt(sh *aggShard, src netip.AddrPort) {
 // committing an adoption: the full worker universe without a failure
 // detector, the non-retired set with one (graceful leavers and
 // evicted workers stay excused).
-func (a *Aggregator) adoptQuorumLocked() int {
+func (a *Aggregator) adoptQuorumLocked(j *aggJob) int {
 	if a.lv == nil {
-		return len(a.peers)
+		return len(j.peers)
 	}
 	n := 0
-	for w := range a.peers {
+	for w := range j.peers {
 		if !a.lv.tracker.Dead(w) {
 			n++
 		}
@@ -519,8 +519,11 @@ func (a *Aggregator) adoptQuorumLocked() int {
 // state armed so a lost release is re-sent on stale-generation
 // traffic, and every voter released at the minimum adopted frontier
 // (marshalled once, worker id patched per peer).
-func (a *Aggregator) commitAdoptLocked(f *adoptFence) {
-	if err := a.sw.Reconfigure(nil, f.gen); err != nil {
+func (a *Aggregator) commitAdoptLocked(j *aggJob, f *adoptFence) {
+	if a.solo() != j {
+		return // a job admitted meanwhile froze generations (jobs.go)
+	}
+	if err := j.sw.Reconfigure(nil, f.gen); err != nil {
 		return
 	}
 	a.epoch.Store(uint32(f.gen))
@@ -541,11 +544,11 @@ func (a *Aggregator) commitAdoptLocked(f *adoptFence) {
 	a.traceCtrl(telemetry.EvAdopt, -1, int64(f.frontier))
 	a.traceCtrl(telemetry.EvReconfigure, -1, int64(f.gen))
 	var wire []byte
-	for i := range a.peers {
+	for i := range j.peers {
 		if !f.seen[i] {
 			continue
 		}
-		ap := a.peers[i].Load()
+		ap := j.peers[i].Load()
 		if ap == nil {
 			continue
 		}

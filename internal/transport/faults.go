@@ -40,7 +40,10 @@ func (c *LivenessConfig) fillDefaults() {
 // the shard goroutines' stale-generation fast path; everything else
 // is guarded by the aggregator mutex.
 type liveness struct {
-	cfg     LivenessConfig
+	cfg LivenessConfig
+	// job is the one job whose generation the detector fences: the
+	// table cannot change while a detector is attached.
+	job     *aggJob
 	tracker *faults.Tracker
 	// recovering means a reconfiguration is in flight: KindReconfig is
 	// (re)broadcast until every live worker has reported its frontier.
@@ -107,7 +110,7 @@ func (a *Aggregator) sweep(now int64) {
 			break // never retire the last worker
 		}
 		a.lv.tracker.MarkDead(w)
-		a.peers[w].Store(nil) // evict the dead worker's session state
+		a.lv.job.peers[w].Store(nil) // evict the dead worker's session state
 		a.traceCtrl(telemetry.EvFailureDetected, int32(w), -1)
 		verdict = true
 	}
@@ -128,11 +131,11 @@ func (a *Aggregator) sweep(now int64) {
 // opens the report quorum.
 func (a *Aggregator) startRecoveryLocked() {
 	a.epoch.Store(uint32(a.epochNow() + 1))
-	active := make([]bool, len(a.peers))
+	active := make([]bool, len(a.lv.job.peers))
 	for i := range active {
 		active[i] = !a.lv.tracker.Dead(i)
 	}
-	if err := a.sw.Reconfigure(active, a.epochNow()); err != nil {
+	if err := a.lv.job.sw.Reconfigure(active, a.epochNow()); err != nil {
 		// Unreachable: the sweep never retires the last worker.
 		return
 	}
@@ -153,7 +156,7 @@ func (a *Aggregator) startRecoveryLocked() {
 // survivorsLocked returns the live membership as a packet vector.
 func (a *Aggregator) survivorsLocked() []int32 {
 	var vec []int32
-	for w := range a.peers {
+	for w := range a.lv.job.peers {
 		if !a.lv.tracker.Dead(w) {
 			vec = append(vec, int32(w))
 		}
@@ -166,13 +169,13 @@ func (a *Aggregator) survivorsLocked() []int32 {
 // differs between recipients only in its worker-id field, so it is
 // marshalled once and the id patched per peer.
 func (a *Aggregator) sendReconfigLocked() {
-	vec := a.survivorsLocked()
+	vec, peers := a.survivorsLocked(), a.lv.job.peers
 	var wire []byte
-	for w := range a.peers {
+	for w := range peers {
 		if a.lv.tracker.Dead(w) || a.lv.reported[w] {
 			continue
 		}
-		ap := a.peers[w].Load()
+		ap := peers[w].Load()
 		if ap == nil {
 			continue
 		}
@@ -201,12 +204,12 @@ func (a *Aggregator) handleReport(p *packet.Packet, src netip.AddrPort) {
 	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	w := int(p.WorkerID)
+	w, peers := int(p.WorkerID), a.lv.job.peers
 	if p.JobID != a.epochNow() || a.lv.tracker.Dead(w) {
 		return
 	}
 	a.lv.tracker.Touch(w, time.Now().UnixNano())
-	a.setPeer(p.WorkerID, src)
+	a.lv.job.setPeer(p.WorkerID, src)
 	if p.Off < a.lv.frontier.Load() {
 		a.lv.frontier.Store(p.Off)
 	}
@@ -216,11 +219,11 @@ func (a *Aggregator) handleReport(p *packet.Packet, src netip.AddrPort) {
 		a.writeCtrl(out, src)
 		return
 	}
-	for i := range a.peers {
+	for i := range peers {
 		if a.lv.tracker.Dead(i) || a.lv.tracker.LastSeen(i) < 0 {
 			continue // never joined; it cannot report
 		}
-		if a.peers[i].Load() == nil || !a.lv.reported[i] {
+		if peers[i].Load() == nil || !a.lv.reported[i] {
 			return // quorum incomplete; the sweeper keeps rebroadcasting
 		}
 	}
@@ -228,11 +231,11 @@ func (a *Aggregator) handleReport(p *packet.Packet, src netip.AddrPort) {
 	a.lv.resumeReady.Store(true)
 	a.traceCtrl(telemetry.EvResume, -1, int64(a.lv.frontier.Load()))
 	var wire []byte
-	for i := range a.peers {
+	for i := range peers {
 		if a.lv.tracker.Dead(i) {
 			continue
 		}
-		ap := a.peers[i].Load()
+		ap := peers[i].Load()
 		if ap == nil {
 			continue
 		}
@@ -256,13 +259,13 @@ func (a *Aggregator) touch(p *packet.Packet, src netip.AddrPort) {
 		return
 	}
 	a.lv.tracker.Touch(int(p.WorkerID), time.Now().UnixNano())
-	a.setPeer(p.WorkerID, src)
+	a.lv.job.setPeer(p.WorkerID, src)
 }
 
 // Alive reports whether worker w is still part of the job. Without a
 // liveness detector every configured worker counts as alive.
 func (a *Aggregator) Alive(w int) bool {
-	if w < 0 || w >= len(a.peers) {
+	if w < 0 || w >= a.cfg.Switch.Workers {
 		return false
 	}
 	if a.lv == nil {

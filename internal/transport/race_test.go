@@ -204,23 +204,13 @@ func TestShardedAggregatorConcurrentClients(t *testing.T) {
 	}
 }
 
-// TestMultiAggConcurrentStats does the same for the multi-tenant
-// server: JobStats, MemoryBytes, Jobs and the registry dump race-free
-// against concurrent jobs from two tenants.
+// TestMultiAggConcurrentStats does the same for a multi-tenant job
+// table: JobStats, MemoryBytes, Jobs, the debug document and the
+// registry dump race-free against concurrent jobs from two tenants
+// and a third job admitted and released meanwhile.
 func TestMultiAggConcurrentStats(t *testing.T) {
 	const n, s, k = 2, 4, 8
-	m, err := NewMultiAggregator("127.0.0.1:0", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer m.Close()
-	for _, job := range []uint16{1, 2} {
-		if err := m.AdmitJob(core.SwitchConfig{
-			Workers: n, PoolSize: s, SlotElems: k, LossRecovery: true, JobID: job,
-		}); err != nil {
-			t.Fatal(err)
-		}
-	}
+	m := newMultiJobAgg(t, core.SwitchConfig{Workers: n, PoolSize: s, SlotElems: k, LossRecovery: true}, 1, 2)
 
 	stop := make(chan struct{})
 	var mons sync.WaitGroup
@@ -238,6 +228,10 @@ func TestMultiAggConcurrentStats(t *testing.T) {
 			}
 			_ = m.MemoryBytes()
 			_ = m.Jobs()
+			_ = m.DebugState(true)
+			if err := m.AdmitJob(core.SwitchConfig{Workers: n, PoolSize: s, SlotElems: k, JobID: 3}); err == nil {
+				_ = m.ReleaseJob(3)
+			}
 			var sb strings.Builder
 			m.Registry().WriteText(&sb)
 		}

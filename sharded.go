@@ -8,7 +8,6 @@ import (
 	"switchml/internal/core"
 	"switchml/internal/packet"
 	"switchml/internal/quant"
-	"switchml/internal/telemetry"
 	"switchml/internal/transport"
 )
 
@@ -20,95 +19,8 @@ import (
 // regions as the number of cores", with Flow Director steering each
 // core's traffic to its own queue. Here each shard owns a socket, a
 // worker state machine, and a disjoint aggregator pool (a job id per
-// shard), which is the same no-shared-state property.
-
-// MultiAggregator is a UDP software aggregator hosting several
-// disjoint pools: one per tenant job (§6 "Multi-job") or one per
-// worker core shard.
-type MultiAggregator struct {
-	inner      *transport.MultiAggregator
-	debugClose func() error
-}
-
-// ListenMultiAggregator binds addr with the given register-memory
-// budget in bytes (0 = unlimited); jobs are admitted with AdmitJob.
-func ListenMultiAggregator(addr string, memoryBudget int) (*MultiAggregator, error) {
-	inner, err := transport.NewMultiAggregator(addr, memoryBudget)
-	if err != nil {
-		return nil, err
-	}
-	return &MultiAggregator{inner: inner}, nil
-}
-
-// Addr returns the bound address.
-func (m *MultiAggregator) Addr() string { return m.inner.Addr().String() }
-
-// ServeDebug starts an HTTP introspection listener on addr serving
-// /metrics, /debug/vars and /debug/pprof/ with every admitted job's
-// counters (labeled job="<id>"). It returns the bound address; the
-// listener stops when the aggregator is closed. Call at most once.
-func (m *MultiAggregator) ServeDebug(addr string) (string, error) {
-	bound, closeFn, err := telemetry.ServeDebug(addr, m.inner.Registry())
-	if err != nil {
-		return "", err
-	}
-	m.debugClose = closeFn
-	return bound, nil
-}
-
-// Close stops serving (and the debug listener, if one was started).
-func (m *MultiAggregator) Close() error {
-	if m.debugClose != nil {
-		m.debugClose()
-		m.debugClose = nil
-	}
-	return m.inner.Close()
-}
-
-// AdmitJob allocates a pool for one job.
-func (m *MultiAggregator) AdmitJob(job uint16, params AggregatorParams) error {
-	params.fill()
-	return m.inner.AdmitJob(core.SwitchConfig{
-		Workers:      params.Workers,
-		PoolSize:     params.PoolSize,
-		SlotElems:    params.SlotElems,
-		LossRecovery: true,
-		JobID:        job,
-	})
-}
-
-// AdmitShardedJob allocates the shards pools a ShardedPeer set with
-// the same parameters will use: job ids jobBase..jobBase+shards-1.
-func (m *MultiAggregator) AdmitShardedJob(jobBase uint16, shards int, params AggregatorParams) error {
-	if shards <= 0 {
-		return fmt.Errorf("switchml: shard count must be positive, got %d", shards)
-	}
-	for s := 0; s < shards; s++ {
-		if err := m.AdmitJob(jobBase+uint16(s), params); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// ReleaseJob frees one job's pool.
-func (m *MultiAggregator) ReleaseJob(job uint16) error { return m.inner.ReleaseJob(job) }
-
-// JobStats returns one admitted job's protocol counters.
-func (m *MultiAggregator) JobStats(job uint16) (AggregatorStats, bool) {
-	st, ok := m.inner.JobStats(job)
-	if !ok {
-		return AggregatorStats{}, false
-	}
-	return AggregatorStats{
-		Updates:               st.Updates,
-		Completions:           st.Completions,
-		IgnoredDuplicates:     st.IgnoredDuplicates,
-		ResultRetransmissions: st.ResultRetransmissions,
-		StaleUpdates:          st.StaleUpdates,
-		Rejected:              st.Rejected,
-	}, true
-}
+// shard, admitted with Aggregator.AdmitJob), which is the same
+// no-shared-state property.
 
 // ShardedPeer is a multi-core worker endpoint: the tensor is
 // partitioned into contiguous regions, each streamed by its own
@@ -128,7 +40,7 @@ type ShardedPeerParams struct {
 	// worker state machine and pool. Zero selects 4 (§5.1).
 	Shards int
 	// JobBase is the first shard's job id; shard s uses JobBase+s.
-	// Must match the aggregator's AdmitShardedJob call.
+	// The aggregator must serve every one of those jobs.
 	JobBase uint16
 	// PoolSize is s per shard (default 64).
 	PoolSize int
@@ -141,7 +53,8 @@ type ShardedPeerParams struct {
 	Timeout time.Duration
 }
 
-// DialSharded connects a multi-core worker to a MultiAggregator.
+// DialSharded connects a multi-core worker to an Aggregator serving
+// jobs JobBase..JobBase+Shards-1.
 func DialSharded(addr string, params ShardedPeerParams) (*ShardedPeer, error) {
 	if params.Shards == 0 {
 		params.Shards = 4

@@ -7,20 +7,31 @@ import (
 	"time"
 )
 
+// listenSharded serves the pools of a ShardedPeer set from one
+// aggregator: job ids jobBase..jobBase+shards-1.
+func listenSharded(t *testing.T, jobBase uint16, shards int, params AggregatorParams) *Aggregator {
+	t.Helper()
+	params.JobID = jobBase
+	agg, err := ListenAggregator("127.0.0.1:0", params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { agg.Close() })
+	for s := 1; s < shards; s++ {
+		if err := agg.AdmitJob(jobBase+uint16(s), params); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return agg
+}
+
 func TestShardedPeerAllReduce(t *testing.T) {
 	const (
 		n      = 3
 		shards = 4
 		d      = 10001 // non-divisible by shards
 	)
-	m, err := ListenMultiAggregator("127.0.0.1:0", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer m.Close()
-	if err := m.AdmitShardedJob(0, shards, AggregatorParams{Workers: n, PoolSize: 8}); err != nil {
-		t.Fatal(err)
-	}
+	m := listenSharded(t, 0, shards, AggregatorParams{Workers: n, PoolSize: 8})
 
 	rng := rand.New(rand.NewSource(1))
 	updates := make([][]int32, n)
@@ -68,14 +79,7 @@ func TestShardedPeerAllReduce(t *testing.T) {
 
 func TestShardedPeerFloat32(t *testing.T) {
 	const n, shards = 2, 2
-	m, err := ListenMultiAggregator("127.0.0.1:0", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer m.Close()
-	if err := m.AdmitShardedJob(10, shards, AggregatorParams{Workers: n, PoolSize: 4}); err != nil {
-		t.Fatal(err)
-	}
+	m := listenSharded(t, 10, shards, AggregatorParams{Workers: n, PoolSize: 4})
 	var wg sync.WaitGroup
 	outs := make([][]float32, n)
 	errs := make([]error, n)
@@ -114,13 +118,9 @@ func TestShardedPeerFloat32(t *testing.T) {
 }
 
 func TestShardedPeerValidation(t *testing.T) {
-	m, err := ListenMultiAggregator("127.0.0.1:0", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer m.Close()
-	if err := m.AdmitShardedJob(0, 0, AggregatorParams{Workers: 1}); err == nil {
-		t.Error("zero shards admitted")
+	m := listenSharded(t, 0, 2, AggregatorParams{Workers: 1})
+	if err := m.AdmitJob(1, AggregatorParams{Workers: 1}); err == nil {
+		t.Error("duplicate job admitted")
 	}
 	if _, err := DialSharded(m.Addr(), ShardedPeerParams{ID: 0, Workers: 1, Shards: -1}); err == nil {
 		t.Error("negative shards accepted")

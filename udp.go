@@ -17,7 +17,9 @@ import (
 // model) and worker clients, both speaking the SwitchML wire format
 // over UDP.
 
-// Aggregator is a UDP software aggregator hosting one job's pool.
+// Aggregator is a UDP software aggregator hosting one job's pool, or
+// several disjoint pools admitted with AdmitJob: one per tenant job
+// (§6 "Multi-job") or one per ShardedPeer core shard.
 type Aggregator struct {
 	inner      *transport.Aggregator
 	rec        *telemetry.FlightRecorder
@@ -32,7 +34,8 @@ type AggregatorParams struct {
 	PoolSize int
 	// SlotElems is k (default 32).
 	SlotElems int
-	// JobID tags the pool for multi-tenancy.
+	// JobID tags the pool for multi-tenancy; more pools are admitted
+	// with Aggregator.AdmitJob.
 	JobID uint16
 	// Liveness, when non-nil, enables the failure detector: silent
 	// workers are evicted and survivors are resumed from the global
@@ -102,30 +105,33 @@ func (f *FlightParams) config(reg *telemetry.Registry, prefix string) telemetry.
 	}
 }
 
-func (p *AggregatorParams) fill() {
-	if p.PoolSize == 0 {
-		p.PoolSize = 64
+// switchConfig is the pool configuration of job under these
+// parameters, defaults filled.
+func (p *AggregatorParams) switchConfig(job uint16) core.SwitchConfig {
+	cfg := core.SwitchConfig{
+		Workers:      p.Workers,
+		PoolSize:     p.PoolSize,
+		SlotElems:    p.SlotElems,
+		LossRecovery: true,
+		JobID:        job,
+		Quorum:       p.Quorum,
+		LatePolicy:   p.LatePolicy.internal(),
 	}
-	if p.SlotElems == 0 {
-		p.SlotElems = packet.DefaultElems
+	if cfg.PoolSize == 0 {
+		cfg.PoolSize = 64
 	}
+	if cfg.SlotElems == 0 {
+		cfg.SlotElems = packet.DefaultElems
+	}
+	return cfg
 }
 
 // ListenAggregator binds addr (e.g. ":5555" or "127.0.0.1:0") and
 // serves aggregation until Close.
 func ListenAggregator(addr string, params AggregatorParams) (*Aggregator, error) {
-	params.fill()
 	cfg := transport.AggregatorConfig{
-		Addr: addr,
-		Switch: core.SwitchConfig{
-			Workers:      params.Workers,
-			PoolSize:     params.PoolSize,
-			SlotElems:    params.SlotElems,
-			LossRecovery: true,
-			JobID:        params.JobID,
-			Quorum:       params.Quorum,
-			LatePolicy:   params.LatePolicy.internal(),
-		},
+		Addr:     addr,
+		Switch:   params.switchConfig(params.JobID),
 		Batch:    params.Batch,
 		Liveness: params.Liveness.transport(),
 		Absent:   append([]int(nil), params.Absent...),
@@ -200,9 +206,31 @@ func (a *Aggregator) Close() error {
 	return err
 }
 
-// Stats returns the aggregation pool's protocol counters.
-func (a *Aggregator) Stats() AggregatorStats {
-	st := a.inner.Stats()
+// AdmitJob allocates a pool for one more job, served on the same
+// sockets and shards. Only the pool fields of params apply (Workers,
+// PoolSize, SlotElems, Quorum, LatePolicy); the rest are
+// aggregator-wide and fixed by ListenAggregator. It fails when job is
+// taken and on an aggregator with Liveness set, whose generation
+// fences need the id space of one job. A table of two or more jobs
+// routes by job id and serves model updates only.
+func (a *Aggregator) AdmitJob(job uint16, params AggregatorParams) error {
+	return a.inner.AdmitJob(params.switchConfig(job))
+}
+
+// ReleaseJob frees one job's pool.
+func (a *Aggregator) ReleaseJob(job uint16) error { return a.inner.ReleaseJob(job) }
+
+// JobStats returns one admitted job's protocol counters.
+func (a *Aggregator) JobStats(job uint16) (AggregatorStats, bool) {
+	st, ok := a.inner.JobStats(job)
+	return aggregatorStats(st), ok
+}
+
+// Stats returns the aggregation pool's protocol counters; with more
+// than one job admitted it is zero and JobStats has each job's.
+func (a *Aggregator) Stats() AggregatorStats { return aggregatorStats(a.inner.Stats()) }
+
+func aggregatorStats(st core.SwitchStats) AggregatorStats {
 	return AggregatorStats{
 		Updates:               st.Updates,
 		Completions:           st.Completions,
