@@ -18,9 +18,9 @@ PORTABLE_PKGS = ./internal/transport ./internal/netio .
 RACE_PKGS = ./internal/transport ./internal/telemetry ./internal/rack \
 	./internal/core ./internal/netsim ./internal/netio .
 
-.PHONY: check fmt vet lint lint-one lint-allows lint-sarif build test race portable chaos fuzz bench bench-smoke bench-golden top-smoke flight-check elastic-smoke failover-smoke multijob-smoke examples clean
+.PHONY: check fmt vet lint lint-one lint-allows lint-sarif build test race portable chaos fuzz bench bench-smoke bench-golden perfbench-check top-smoke flight-check elastic-smoke failover-smoke multijob-smoke examples clean
 
-check: fmt vet lint build test race portable chaos bench-smoke bench-golden top-smoke flight-check elastic-smoke failover-smoke multijob-smoke
+check: fmt vet lint build test race portable chaos bench-smoke bench-golden perfbench-check top-smoke flight-check elastic-smoke failover-smoke multijob-smoke
 
 # Format gate: gofmt must have nothing to say outside testdata/, whose
 # analyzer goldens align their `// want` comments by hand.
@@ -103,6 +103,15 @@ bench-golden:
 	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
 	$(GO) run ./cmd/switchml-bench -scale 10 -seed 1 -artifacts "$$tmp" $(GOLDEN) > /dev/null && \
 	for e in $(GOLDEN); do cmp "$$tmp/BENCH_$$e.json" "BENCH_$$e.json" || exit 1; done
+
+# Benchmark-harness gate: perfbench is its own module (it replaces
+# switchml with the parent directory), so `go build ./...` never
+# compiles it, yet it calls core.Switch.HandleInto, the packet codec,
+# quant and the transport debug structs. Vet and unit-test it against
+# the current tree, offline: the module has no external dependencies.
+perfbench-check:
+	cd perfbench && GOFLAGS=-mod=mod GOTOOLCHAIN=local GOPROXY=off $(GO) vet . && \
+		GOFLAGS=-mod=mod GOTOOLCHAIN=local GOPROXY=off $(GO) test .
 
 # Observability smoke: switchml-top boots an in-process cluster over
 # loopback UDP, polls its own debug endpoints and validates the JSON

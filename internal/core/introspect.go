@@ -15,12 +15,15 @@ func (b bitset) count() int {
 // straggler-attribution counter for the worker whose packet closed
 // the slot (the one every other worker waited for) and, when the
 // switch has a clock, the phase-open-to-completion latency histogram.
-func (sw *Switch) observeCompletion(sl *slot, wid int) {
+// The fill time is clamped at zero: with per-burst stamps
+// (HandleIntoAt) a phase opened by one shard's burst can be closed by
+// another shard's burst that was stamped earlier.
+func (sw *Switch) observeCompletion(sl *slot, wid int, stamp int64) {
 	if wid >= 0 && wid < len(sw.ctr.lastArrival) {
 		sw.ctr.lastArrival[wid].Inc()
 	}
 	if sw.cfg.Now != nil {
-		sw.ctr.slotFill.Observe(float64(sw.now() - sl.start))
+		sw.ctr.slotFill.Observe(float64(max(sw.now(stamp)-sl.start, 0)))
 	}
 }
 

@@ -135,6 +135,34 @@ func TestSlotFillLatency(t *testing.T) {
 	}
 }
 
+// TestSlotFillStamped checks the stamped entry point: the caller's
+// stamps replace every clock read, and a phase closed by a stamp
+// earlier than the one that opened it (two shards' bursts stamped out
+// of order) records a fill time of zero, not a negative one.
+func TestSlotFillStamped(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	ss, err := NewShardedSwitch(SwitchConfig{
+		Workers: 2, PoolSize: 2, SlotElems: 8, LossRecovery: true, JobID: 4, Metrics: reg,
+		Now: func() int64 { t.Fatal("clock read on the stamped path"); return 0 },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	vec := []int32{1}
+	// Slot 0: opened at 1000, closed at 3500.
+	ss.HandleIntoAt(packet.NewUpdate(0, 4, 0, 0, 0, vec), &packet.Packet{}, 1000)
+	ss.HandleIntoAt(packet.NewUpdate(1, 4, 0, 0, 0, vec), &packet.Packet{}, 3500)
+	// Slot 1: opened at 9000, closed by a burst stamped at 8000.
+	ss.HandleIntoAt(packet.NewUpdate(1, 4, 0, 1, 8, vec), &packet.Packet{}, 9000)
+	if r := ss.HandleIntoAt(packet.NewUpdate(0, 4, 0, 1, 8, vec), &packet.Packet{}, 8000); r.Pkt == nil || !r.Multicast {
+		t.Fatalf("slot 1 did not complete: %+v", r)
+	}
+	h := reg.Snapshot().Histograms[`switch_slot_fill_ns{job="4"}`]
+	if h.Count != 2 || h.Sum != 2500 {
+		t.Errorf("fill histogram count/sum = %d/%v, want 2/2500 (2500 + a clamped 0)", h.Count, h.Sum)
+	}
+}
+
 // TestInstrumentedIngressZeroAlloc pins the new sampling points: with
 // full instrumentation armed — registry-backed counters, a clock for
 // the fill histogram, straggler attribution — steady-state ingress

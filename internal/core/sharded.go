@@ -78,6 +78,23 @@ func (ss *ShardedSwitch) Handle(p *packet.Packet) Response {
 //
 //switchml:hotpath
 func (ss *ShardedSwitch) HandleInto(p *packet.Packet, out *packet.Packet) Response {
+	return ss.handle(p, out, unstamped)
+}
+
+// HandleIntoAt is HandleInto with the caller's clock stamp: now, in
+// SwitchConfig.Now's units and non-negative, stands in for every clock
+// read the packet would make (phase open, completion, trace events).
+// A batched host reads the clock once per receive burst and stamps the
+// whole burst with it, so the slot-fill histogram has burst
+// resolution.
+//
+//switchml:hotpath
+func (ss *ShardedSwitch) HandleIntoAt(p *packet.Packet, out *packet.Packet, now int64) Response {
+	return ss.handle(p, out, now)
+}
+
+// handle is the locked dispatch behind HandleInto and HandleIntoAt.
+func (ss *ShardedSwitch) handle(p *packet.Packet, out *packet.Packet, stamp int64) Response {
 	ss.mu.RLock()
 	defer ss.mu.RUnlock()
 	// Admission rejects out-of-range indices inside handleWith; the
@@ -90,7 +107,7 @@ func (ss *ShardedSwitch) HandleInto(p *packet.Packet, out *packet.Packet) Respon
 		scratch = *sp
 	}
 	lk.mu.Lock()
-	resp := ss.sw.handleWith(p, scratch, out)
+	resp := ss.sw.handleWith(p, scratch, out, stamp)
 	lk.mu.Unlock()
 	if sp != nil {
 		ss.scratch.Put(sp)

@@ -233,6 +233,43 @@ func TestShardedIngressZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestShardedIngressAtZeroAlloc is the AllocsPerRun gate of the
+// stamped entry point: with a clock configured and the fill histogram
+// armed, HandleIntoAt allocates nothing either.
+func TestShardedIngressAtZeroAlloc(t *testing.T) {
+	const n = 4
+	ss, err := NewShardedSwitch(SwitchConfig{
+		Workers: n, PoolSize: 8, SlotElems: 32, LossRecovery: true,
+		Now: func() int64 { return 0 },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	vec := make([]int32, 32)
+	pkts := make([]*packet.Packet, n)
+	for w := range pkts {
+		pkts[w] = packet.NewUpdate(uint16(w), 0, 0, 0, 0, vec)
+	}
+	var out packet.Packet
+	round := 0
+	step := func() {
+		for w := 0; w < n; w++ {
+			p := pkts[w]
+			p.Ver = uint8(round % 2)
+			p.Off = uint64(round * 32)
+			ss.HandleIntoAt(p, &out, int64(round*1000+w))
+		}
+		round++
+	}
+	step()
+	if allocs := testing.AllocsPerRun(100, step); allocs != 0 {
+		t.Errorf("stamped sharded ingress allocates %.2f/op, want 0", allocs)
+	}
+	if ss.Stats().Completions == 0 {
+		t.Fatal("no completions")
+	}
+}
+
 // TestAddVec checks the unrolled vector add against the obvious loop
 // across lengths spanning the unroll boundary.
 func TestAddVec(t *testing.T) {

@@ -249,8 +249,17 @@ type Switch struct {
 	scratch []int32
 }
 
-// now returns the tracer timestamp.
-func (sw *Switch) now() int64 {
+// unstamped marks a handler call without a caller-supplied clock
+// stamp: the switch reads cfg.Now itself, at each point that needs
+// the time.
+const unstamped int64 = -1
+
+// now returns the handler's timestamp: the caller's stamp when it
+// supplied one (HandleIntoAt), else a read of the configured clock.
+func (sw *Switch) now(stamp int64) int64 {
+	if stamp != unstamped {
+		return stamp
+	}
 	if sw.cfg.Now == nil {
 		return 0
 	}
@@ -258,11 +267,11 @@ func (sw *Switch) now() int64 {
 }
 
 // trace emits a slot-level event for packet p.
-func (sw *Switch) trace(t telemetry.EventType, p *packet.Packet) {
+func (sw *Switch) trace(t telemetry.EventType, p *packet.Packet, stamp int64) {
 	if sw.cfg.Tracer == nil {
 		return
 	}
-	e := telemetry.Ev(t, sw.now())
+	e := telemetry.Ev(t, sw.now(stamp))
 	e.Actor = "switch"
 	e.Worker = int32(p.WorkerID)
 	e.Slot = int32(p.Idx)
@@ -478,7 +487,7 @@ func (sw *Switch) MemoryBytes() int {
 // Malformed packets are counted and dropped, never panicking: a
 // dataplane must survive garbage.
 func (sw *Switch) Handle(p *packet.Packet) Response {
-	return sw.handleWith(p, sw.scratch, nil)
+	return sw.handleWith(p, sw.scratch, nil, unstamped)
 }
 
 // HandleInto is Handle with caller-borrowed response storage: when a
@@ -489,22 +498,24 @@ func (sw *Switch) Handle(p *packet.Packet) Response {
 //
 //switchml:hotpath
 func (sw *Switch) HandleInto(p *packet.Packet, out *packet.Packet) Response {
-	return sw.handleWith(p, sw.scratch, out)
+	return sw.handleWith(p, sw.scratch, out, unstamped)
 }
 
 // handleWith is the dataplane entry point; scratch is the
-// codec-expansion buffer (unused when Codec is nil) and out the
-// optional borrowed response packet.
-func (sw *Switch) handleWith(p *packet.Packet, scratch []int32, out *packet.Packet) Response {
+// codec-expansion buffer (unused when Codec is nil), out the optional
+// borrowed response packet and stamp the caller's clock reading in
+// cfg.Now's units, or unstamped to read cfg.Now where the time is
+// needed (a phase opening, a completion, a trace event).
+func (sw *Switch) handleWith(p *packet.Packet, scratch []int32, out *packet.Packet, stamp int64) Response {
 	if !sw.admit(p) {
 		sw.ctr.rejected.Inc()
 		return Response{}
 	}
 	sw.ctr.updates.Inc()
 	if !sw.cfg.LossRecovery {
-		return sw.handleSimple(p, scratch, out)
+		return sw.handleSimple(p, scratch, out, stamp)
 	}
-	return sw.handleRecovering(p, scratch, out)
+	return sw.handleRecovering(p, scratch, out, stamp)
 }
 
 // admit performs the dataplane sanity checks.
@@ -546,17 +557,17 @@ func (sw *Switch) quorumActive() bool { return sw.needed() < sw.required }
 
 // handleSimple is Algorithm 1: no duplicate suppression, no shadow
 // copy. Correct only when the network never drops or duplicates.
-func (sw *Switch) handleSimple(p *packet.Packet, scratch []int32, out *packet.Packet) Response {
+func (sw *Switch) handleSimple(p *packet.Packet, scratch []int32, out *packet.Packet, stamp int64) Response {
 	sl := &sw.pools[0][p.Idx]
 	if sl.count == 0 {
 		sw.ingressOverwrite(sl, p)
-		sl.start = sw.now()
+		sl.start = sw.now(stamp)
 	} else {
 		if !sw.accumulate(sl, p, scratch) {
 			return Response{}
 		}
 	}
-	sw.trace(telemetry.EvSlotAggregated, p)
+	sw.trace(telemetry.EvSlotAggregated, p, stamp)
 	sl.count++
 	if sl.count < sw.required {
 		return Response{}
@@ -567,8 +578,8 @@ func (sw *Switch) handleSimple(p *packet.Packet, scratch []int32, out *packet.Pa
 	sl.count = 0
 	sl.off = -1
 	sw.ctr.completions.Inc()
-	sw.observeCompletion(sl, int(p.WorkerID))
-	sw.trace(telemetry.EvSlotComplete, p)
+	sw.observeCompletion(sl, int(p.WorkerID), stamp)
+	sw.trace(telemetry.EvSlotComplete, p, stamp)
 	return Response{Pkt: resp, Multicast: true}
 }
 
@@ -579,7 +590,7 @@ func (sw *Switch) handleSimple(p *packet.Packet, scratch []int32, out *packet.Pa
 // stragglers whose phase has already been evicted get an empty
 // "gone" unicast telling them to self-complete from their local
 // update.
-func (sw *Switch) handleRecovering(p *packet.Packet, scratch []int32, out *packet.Packet) Response {
+func (sw *Switch) handleRecovering(p *packet.Packet, scratch []int32, out *packet.Packet, stamp int64) Response {
 	sl := &sw.pools[p.Ver][p.Idx]
 	other := &sw.pools[1-p.Ver][p.Idx]
 	wid := int(p.WorkerID)
@@ -618,7 +629,7 @@ func (sw *Switch) handleRecovering(p *packet.Packet, scratch []int32, out *packe
 					// keeps pace.
 					sw.lateUpdate(sl, p, scratch)
 					sw.ctr.resultRetransmissions.Inc()
-					sw.trace(telemetry.EvShadowRead, p)
+					sw.trace(telemetry.EvShadowRead, p, stamp)
 					return Response{Pkt: sw.respond(out, p, packet.KindResultUnicast, uint64(sl.off), sl)}
 				}
 				if sw.quorumActive() && int64(p.Off) < sl.off && int64(p.Off) != other.off {
@@ -658,7 +669,7 @@ func (sw *Switch) handleRecovering(p *packet.Packet, scratch []int32, out *packe
 			// First contribution overall: overwrite, which doubles as
 			// the slot reset (line 10).
 			sw.ingressOverwrite(sl, p)
-			sl.start = sw.now()
+			sl.start = sw.now(stamp)
 		} else {
 			if !sw.accumulate(sl, p, scratch) {
 				// Inconsistent chunk from a misbehaving worker: undo
@@ -670,7 +681,7 @@ func (sw *Switch) handleRecovering(p *packet.Packet, scratch []int32, out *packe
 				return Response{}
 			}
 		}
-		sw.trace(telemetry.EvSlotAggregated, p)
+		sw.trace(telemetry.EvSlotAggregated, p, stamp)
 		sl.count++
 		if sl.count < sw.needed() {
 			return Response{}
@@ -680,12 +691,12 @@ func (sw *Switch) handleRecovering(p *packet.Packet, scratch []int32, out *packe
 		resp := sw.respond(out, p, packet.KindResult, p.Off, sl)
 		if sl.count < sw.required {
 			sw.ctr.quorumCompletions.Inc()
-			sw.trace(telemetry.EvQuorumComplete, p)
+			sw.trace(telemetry.EvQuorumComplete, p, stamp)
 		}
 		sl.count = 0
 		sw.ctr.completions.Inc()
-		sw.observeCompletion(sl, wid)
-		sw.trace(telemetry.EvSlotComplete, p)
+		sw.observeCompletion(sl, wid, stamp)
+		sw.trace(telemetry.EvSlotComplete, p, stamp)
 		return Response{Pkt: resp, Multicast: true}
 	}
 
@@ -694,7 +705,7 @@ func (sw *Switch) handleRecovering(p *packet.Packet, scratch []int32, out *packe
 		// The slot already completed; reply to just this worker with
 		// the retained result (lines 19-21).
 		sw.ctr.resultRetransmissions.Inc()
-		sw.trace(telemetry.EvShadowRead, p)
+		sw.trace(telemetry.EvShadowRead, p, stamp)
 		return Response{Pkt: sw.respond(out, p, packet.KindResultUnicast, uint64(sl.off), sl)}
 	}
 	// Still aggregating: the update was already applied, ignore.

@@ -1,6 +1,7 @@
 package packet
 
 import (
+	"encoding/binary"
 	"testing"
 )
 
@@ -20,6 +21,39 @@ func TestAppendMarshalMatchesMarshal(t *testing.T) {
 	for i := range want {
 		if got[len(prefix)+i] != want[i] {
 			t.Fatalf("byte %d: got %#x want %#x", i, got[len(prefix)+i], want[i])
+		}
+	}
+}
+
+// TestElemCodecMatchesReference checks the 8-element block loops of
+// the payload codec against a plain per-element loop at every length
+// around the block boundaries, up to an MTU packet.
+func TestElemCodecMatchesReference(t *testing.T) {
+	for n := 0; n <= MTUElems; n++ {
+		if n > 42 && n != MTUElems-1 && n != MTUElems {
+			continue
+		}
+		vec := make([]int32, n)
+		for i := range vec {
+			vec[i] = int32(uint32(i)*0x9E3779B9) ^ -1<<31
+		}
+		buf := NewUpdate(1, 2, 1, 3, 4, vec).Marshal()
+		for i, v := range vec {
+			if got := binary.BigEndian.Uint32(buf[marshalHeaderBytes+ElemBytes*i:]); got != uint32(v) {
+				t.Fatalf("n=%d: element %d encoded as %#x, want %#x", n, i, got, uint32(v))
+			}
+		}
+		var q Packet
+		if err := UnmarshalInto(&q, buf); err != nil {
+			t.Fatalf("n=%d: %v", n, err)
+		}
+		if len(q.Vector) != n {
+			t.Fatalf("n=%d: decoded %d elements", n, len(q.Vector))
+		}
+		for i := range vec {
+			if q.Vector[i] != vec[i] {
+				t.Fatalf("n=%d: element %d decoded as %d, want %d", n, i, q.Vector[i], vec[i])
+			}
 		}
 	}
 }

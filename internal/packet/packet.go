@@ -16,9 +16,10 @@
 //     frames carry 32), so that goodput and timing in the simulator
 //     match the paper's accounting exactly.
 //   - Marshal/Unmarshal produce the byte representation used by the
-//     real UDP transport. That header is self-describing (24 bytes
-//     plus a CRC32 of the payload) and does not need to match the
-//     simulated budget because the kernel supplies IP/UDP framing.
+//     real UDP transport. That header is self-describing (24 bytes,
+//     ending in a CRC-32C of header and payload) and does not need to
+//     match the simulated budget because the kernel supplies IP/UDP
+//     framing.
 //
 //switchml:deterministic
 package packet
@@ -199,7 +200,7 @@ var (
 	// ErrBadLength means the payload is not a whole number of
 	// elements.
 	ErrBadLength = errors.New("packet: payload not a multiple of the element size")
-	// ErrChecksum means the CRC32 over header and payload failed.
+	// ErrChecksum means the CRC-32C over header and payload failed.
 	ErrChecksum = errors.New("packet: checksum mismatch")
 	// ErrBadKind means the kind byte names no known packet kind.
 	ErrBadKind = errors.New("packet: unknown kind")
@@ -332,7 +333,7 @@ func (p *Packet) MarshalledSize() int {
 //	6      2    job id
 //	8      4    idx
 //	12     8    off
-//	20     4    crc32 (IEEE) of bytes [0,20) and the payload
+//	20     4    crc32c (Castagnoli) of bytes [0,20) and the payload
 //	24     4*n  vector elements
 func (p *Packet) Marshal() []byte {
 	return p.AppendMarshal(make([]byte, 0, p.MarshalledSize()))
@@ -355,6 +356,7 @@ func (p *Packet) AppendMarshal(dst []byte) []byte {
 	}
 	dst = dst[:base+size]
 	buf := dst[base:]
+	_ = buf[marshalHeaderBytes-1] // one bounds check for the header stores
 	binary.BigEndian.PutUint16(buf[0:2], magic)
 	buf[2] = byte(p.Kind)
 	buf[3] = p.Ver
@@ -362,18 +364,66 @@ func (p *Packet) AppendMarshal(dst []byte) []byte {
 	binary.BigEndian.PutUint16(buf[6:8], p.JobID)
 	binary.BigEndian.PutUint32(buf[8:12], p.Idx)
 	binary.BigEndian.PutUint64(buf[12:20], p.Off)
-	for i, v := range p.Vector {
-		binary.BigEndian.PutUint32(buf[marshalHeaderBytes+ElemBytes*i:], uint32(v))
-	}
+	encodeElems(buf[marshalHeaderBytes:], p.Vector)
 	binary.BigEndian.PutUint32(buf[20:24], bodyChecksum(buf))
 	return dst
 }
 
-// bodyChecksum computes the packet checksum over the header (minus
-// the checksum field itself) and the payload of a marshalled buffer.
+// encodeElems writes vec big-endian into body, which holds at least
+// ElemBytes*len(vec) bytes. Like core's addVec it runs 8 elements per
+// block over fixed-size re-slices, so each block costs one bounds
+// check instead of one per element, and the tail re-slices as it goes.
+func encodeElems(body []byte, vec []int32) {
+	for len(vec) >= 8 && len(body) >= 8*ElemBytes {
+		b, v := body[:8*ElemBytes:8*ElemBytes], vec[:8:8]
+		binary.BigEndian.PutUint32(b[0:], uint32(v[0]))
+		binary.BigEndian.PutUint32(b[4:], uint32(v[1]))
+		binary.BigEndian.PutUint32(b[8:], uint32(v[2]))
+		binary.BigEndian.PutUint32(b[12:], uint32(v[3]))
+		binary.BigEndian.PutUint32(b[16:], uint32(v[4]))
+		binary.BigEndian.PutUint32(b[20:], uint32(v[5]))
+		binary.BigEndian.PutUint32(b[24:], uint32(v[6]))
+		binary.BigEndian.PutUint32(b[28:], uint32(v[7]))
+		body, vec = body[8*ElemBytes:], vec[8:]
+	}
+	for len(vec) > 0 && len(body) >= ElemBytes {
+		binary.BigEndian.PutUint32(body, uint32(vec[0]))
+		body, vec = body[ElemBytes:], vec[1:]
+	}
+}
+
+// decodeElems is encodeElems' inverse: it fills vec from the
+// big-endian elements in body, which holds at least ElemBytes*len(vec)
+// bytes.
+func decodeElems(vec []int32, body []byte) {
+	for len(vec) >= 8 && len(body) >= 8*ElemBytes {
+		v, b := vec[:8:8], body[:8*ElemBytes:8*ElemBytes]
+		v[0] = int32(binary.BigEndian.Uint32(b[0:]))
+		v[1] = int32(binary.BigEndian.Uint32(b[4:]))
+		v[2] = int32(binary.BigEndian.Uint32(b[8:]))
+		v[3] = int32(binary.BigEndian.Uint32(b[12:]))
+		v[4] = int32(binary.BigEndian.Uint32(b[16:]))
+		v[5] = int32(binary.BigEndian.Uint32(b[20:]))
+		v[6] = int32(binary.BigEndian.Uint32(b[24:]))
+		v[7] = int32(binary.BigEndian.Uint32(b[28:]))
+		vec, body = vec[8:], body[8*ElemBytes:]
+	}
+	for len(vec) > 0 && len(body) >= ElemBytes {
+		vec[0] = int32(binary.BigEndian.Uint32(body))
+		vec, body = vec[1:], body[ElemBytes:]
+	}
+}
+
+// castagnoli is the CRC-32C table. Go computes CRC-32C with the
+// SSE4.2/ARMv8 CRC instructions where available, never walking it.
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
+// bodyChecksum computes the packet checksum, CRC-32C over the header
+// (minus the checksum field itself) and the payload of a marshalled
+// buffer.
 func bodyChecksum(buf []byte) uint32 {
-	crc := crc32.ChecksumIEEE(buf[:20])
-	return crc32.Update(crc, crc32.IEEETable, buf[marshalHeaderBytes:])
+	crc := crc32.Update(0, castagnoli, buf[:20])
+	return crc32.Update(crc, castagnoli, buf[marshalHeaderBytes:])
 }
 
 // PatchWorkerID rewrites the worker-id field of a marshalled packet
@@ -441,9 +491,7 @@ func UnmarshalInto(p *Packet, buf []byte) error {
 		//switchml:allow hotpath -- guarded grow fallback: a pooled packet's vector reaches MTU capacity once, then is reused
 		p.Vector = make([]int32, n)
 	}
-	for i := range p.Vector {
-		p.Vector[i] = int32(binary.BigEndian.Uint32(payload[ElemBytes*i:]))
-	}
+	decodeElems(p.Vector, payload)
 	return nil
 }
 

@@ -1,7 +1,10 @@
 package packet
 
 import (
+	"bytes"
 	"encoding/binary"
+	"encoding/hex"
+	"errors"
 	"hash"
 	"hash/crc32"
 	"math/rand"
@@ -9,7 +12,10 @@ import (
 	"testing/quick"
 )
 
-func newCRC() hash.Hash32 { return crc32.NewIEEE() }
+// newCRC is the reference checksum: CRC-32C (Castagnoli), computed
+// through the generic hash.Hash32 interface rather than the codec's
+// own path.
+func newCRC() hash.Hash32 { return crc32.New(crc32.MakeTable(crc32.Castagnoli)) }
 
 func TestWireSizeMatchesPaperBudget(t *testing.T) {
 	// The paper's deployment uses 180-byte packets for 32 elements and
@@ -134,6 +140,82 @@ func TestUnmarshalRejectsBadMagicAndKind(t *testing.T) {
 	reSeal(bad)
 	if _, err := Unmarshal(bad); err == nil {
 		t.Error("bad kind accepted")
+	} else if !errors.Is(err, ErrBadKind) {
+		// The re-sealed checksum must match the codec's, so only the
+		// kind check can reject the packet.
+		t.Errorf("bad kind rejected with %v, want %v", err, ErrBadKind)
+	}
+}
+
+// TestWireGolden pins the exact marshalled bytes of one update and one
+// result: field layout, byte order and the CRC-32C value. A change to
+// any of them makes binaries reject each other's datagrams, so it must
+// show up here.
+func TestWireGolden(t *testing.T) {
+	cases := []struct {
+		name string
+		p    *Packet
+		hex  string
+	}{
+		{
+			"update",
+			NewUpdate(3, 7, 1, 42, 1<<33|288, []int32{1, -2, 0x01020304, -2147483648}),
+			"534d0001000300070000002a0000000200000120" + // header
+				"80ff6877" + // CRC-32C
+				"00000001fffffffe0102030480000000", // payload
+		},
+		{
+			"result",
+			&Packet{Kind: KindResult, WorkerID: 1, JobID: 7, Idx: 5, Off: 160, Vector: []int32{2, 4, -6}},
+			"534d0100000100070000000500000000000000a0" + // header
+				"7ebeec4e" + // CRC-32C
+				"0000000200000004fffffffa", // payload
+		},
+	}
+	for _, tc := range cases {
+		want, err := hex.DecodeString(tc.hex)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := tc.p.Marshal()
+		if !bytes.Equal(got, want) {
+			t.Errorf("%s: marshalled\n%x\nwant\n%x", tc.name, got, want)
+		}
+		if crc := crcOf(want); crc != binary.BigEndian.Uint32(want[20:24]) {
+			t.Errorf("%s: golden checksum %08x, reference CRC-32C %08x", tc.name, binary.BigEndian.Uint32(want[20:24]), crc)
+		}
+		var q Packet
+		if err := UnmarshalInto(&q, want); err != nil {
+			t.Fatalf("%s: golden bytes rejected: %v", tc.name, err)
+		}
+		if !bytes.Equal(q.Marshal(), want) {
+			t.Errorf("%s: decode/encode of the golden bytes is not the identity", tc.name)
+		}
+	}
+	// The reference polynomial is CRC-32C: its standard check value.
+	if got := crc32.Checksum([]byte("123456789"), crc32.MakeTable(crc32.Castagnoli)); got != 0xE3069283 {
+		t.Errorf("CRC-32C check value = %08x, want e3069283", got)
+	}
+}
+
+// TestUnmarshalRejectsEverySingleBitFlip flips each bit of a
+// marshalled update and of a result in turn: every single-bit error
+// must be rejected (CRC-32C detects all of them; flips in the magic or
+// the length are caught earlier).
+func TestUnmarshalRejectsEverySingleBitFlip(t *testing.T) {
+	for _, p := range []*Packet{
+		NewUpdate(1, 4, 1, 5, 160, []int32{7, -7, 1 << 30, 0, 3}),
+		{Kind: KindResultUnicast, WorkerID: 2, JobID: 4, Idx: 63, Off: 1 << 20, Vector: make([]int32, DefaultElems)},
+	} {
+		buf := p.Marshal()
+		var q Packet
+		for bit := 0; bit < 8*len(buf); bit++ {
+			flipped := append([]byte(nil), buf...)
+			flipped[bit/8] ^= 1 << (bit % 8)
+			if err := UnmarshalInto(&q, flipped); err == nil {
+				t.Errorf("%v: flip of bit %d (byte %d) accepted", p, bit%8, bit/8)
+			}
+		}
 	}
 }
 

@@ -17,7 +17,6 @@ import (
 	"net/netip"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"switchml/internal/core"
 	"switchml/internal/faults"
@@ -43,7 +42,10 @@ type AggregatorConfig struct {
 	Addr string
 	// Switch is the pool configuration of the job admitted at
 	// construction; LossRecovery should be true on any real network.
-	// More jobs join the table through AdmitJob.
+	// More jobs join the table through AdmitJob. Switch.Now, nil for
+	// telemetry.WallClock, must return wall-clock nanoseconds: the
+	// shards stamp each receive burst with one reading of it, and the
+	// same stamp feeds the liveness tracker.
 	Switch core.SwitchConfig
 	// MemoryBudget caps the admitted jobs' total register memory in
 	// bytes, the admission check of §6 "Multi-job"; zero means
@@ -409,7 +411,9 @@ func (a *Aggregator) Close() error {
 // immediately on the control socket; the update/result path and the
 // shard's own replies are staged. Each burst routes against one job
 // table snapshot, so a concurrent ReleaseJob cannot pull a job out
-// from under a handler.
+// from under a handler, and reads its job's clock once: every packet
+// of the burst is stamped with that reading (a multi-job burst reads
+// again only where the routed job changes).
 func (a *Aggregator) serve(sh *aggShard) {
 	defer a.wg.Done()
 	for {
@@ -432,6 +436,8 @@ func (a *Aggregator) serve(sh *aggShard) {
 			continue // the aggregation program is "dead": pure silence
 		}
 		tab := a.table()
+		var now int64
+		var clock *aggJob // the job whose clock produced now
 		for i := 0; i < n; i++ {
 			m := &sh.nc.Msgs[i]
 			if err := packet.UnmarshalInto(&sh.pkt, m.Buf); err != nil {
@@ -449,16 +455,19 @@ func (a *Aggregator) serve(sh *aggShard) {
 				a.unexpected.Inc()
 				continue
 			}
+			if j != clock {
+				now, clock = j.now(), j
+			}
 			//switchml:dispatch
 			switch sh.pkt.Kind {
 			case packet.KindUpdate:
-				a.handleUpdate(sh, j, m.Addr)
+				a.handleUpdate(sh, j, m.Addr, now)
 			case packet.KindHeartbeat:
-				a.touch(&sh.pkt, m.Addr)
+				a.touch(&sh.pkt, m.Addr, now)
 			case packet.KindReport:
 				a.handleReport(&sh.pkt, m.Addr)
 			case packet.KindProbe:
-				a.handleProbe(sh, j, m.Addr)
+				a.handleProbe(sh, j, m.Addr, now)
 			case packet.KindJoin:
 				a.handleJoin(&sh.pkt, m.Addr)
 			case packet.KindLeave:
@@ -547,8 +556,8 @@ func (a *Aggregator) epochNow() uint16 { return uint16(a.epoch.Load()) }
 // stale-generation traffic from a live worker means the resume
 // directive was lost — it is re-sent instead of feeding the pool.
 // The clean path — touch the tracker, aggregate, reply — takes no
-// lock beyond the packet's slot.
-func (a *Aggregator) handleUpdate(sh *aggShard, j *aggJob, src netip.AddrPort) {
+// lock beyond the packet's slot. now is the burst's clock stamp.
+func (a *Aggregator) handleUpdate(sh *aggShard, j *aggJob, src netip.AddrPort, now int64) {
 	p := &sh.pkt
 	w := int(p.WorkerID)
 	if a.lv != nil {
@@ -560,7 +569,7 @@ func (a *Aggregator) handleUpdate(sh *aggShard, j *aggJob, src netip.AddrPort) {
 			a.reply(sh, sh.ctrl, src)
 			return
 		}
-		a.lv.tracker.Touch(w, time.Now().UnixNano())
+		a.lv.tracker.Touch(w, now)
 		if a.lv.leaveArmed.Load() {
 			// A drain is pending: this update is the progress evidence
 			// its commit waits on (elastic.go).
@@ -573,7 +582,7 @@ func (a *Aggregator) handleUpdate(sh *aggShard, j *aggJob, src netip.AddrPort) {
 		}
 	}
 	j.setPeer(p.WorkerID, src)
-	resp := j.sw.HandleInto(p, &sh.out)
+	resp := j.sw.HandleIntoAt(p, &sh.out, now)
 	if resp.Pkt == nil {
 		return
 	}
@@ -608,7 +617,7 @@ func (a *Aggregator) handleUpdate(sh *aggShard, j *aggJob, src netip.AddrPort) {
 // that keeps anything aggregated before the outage from leaking into
 // post-failback slots. The ack echoes the probe sequence so the
 // worker can match it to its probation window.
-func (a *Aggregator) handleProbe(sh *aggShard, j *aggJob, src netip.AddrPort) {
+func (a *Aggregator) handleProbe(sh *aggShard, j *aggJob, src netip.AddrPort, now int64) {
 	p := &sh.pkt
 	if a.lv != nil {
 		if a.lv.tracker.Dead(int(p.WorkerID)) {
@@ -616,7 +625,7 @@ func (a *Aggregator) handleProbe(sh *aggShard, j *aggJob, src netip.AddrPort) {
 		}
 		// Probes are liveness: a worker on the mesh is silent on the
 		// update path but very much alive.
-		a.lv.tracker.Touch(int(p.WorkerID), time.Now().UnixNano())
+		a.lv.tracker.Touch(int(p.WorkerID), now)
 	}
 	j.setPeer(p.WorkerID, src)
 	if int16(p.JobID-a.epochNow()) > 0 {

@@ -123,8 +123,10 @@ type Client struct {
 	gHome                                                             *telemetry.Gauge
 	failRehomes, failAdopts, failProbes, failProbeAcks, failFailbacks *telemetry.Counter
 
-	// lastSend tracks per-slot transmission times for timeout
-	// sweeps.
+	// lastSend tracks per-slot transmission times for timeout sweeps
+	// and RTT samples. A send is stamped with the clock reading of the
+	// wakeup that staged it, not at its own flush, so a stamp can be
+	// early by one burst's handling time.
 	lastSend []time.Time
 	// rbuf/rp/sbuf/cbuf are the control-plane receive buffer, decoded
 	// packet, send wire buffer and control wire buffer, reused across
@@ -429,18 +431,20 @@ func (c *Client) AllReduceInt32(u []int32) ([]int32, error) {
 		e.Size = int32(4 * len(u))
 		c.cfg.Tracer.Emit(e)
 	}
-	deadline := time.Now().Add(c.cfg.Timeout)
+	now := time.Now()
+	deadline := now.Add(c.cfg.Timeout)
 	if c.fb != nil && c.fb.degraded.Load() {
 		return c.degradedAllReduce(u, deadline)
 	}
-	c.lastProgress = time.Now()
+	c.lastProgress = now
 	if c.homeRank > 0 {
 		// The job lives on a standby: run one round of the fail-up
 		// probation before starting the tensor (failover.go).
 		if err := c.failUpTick(deadline); err != nil {
 			return nil, err
 		}
-		c.lastProgress = time.Now()
+		now = time.Now()
+		c.lastProgress = now
 	}
 	if c.fenceArmed {
 		// A membership change is pending and this call sits exactly at
@@ -458,9 +462,10 @@ func (c *Client) AllReduceInt32(u []int32) ([]int32, error) {
 				return nil, err
 			}
 		}
+		now = time.Now()
 	}
 	for _, p := range c.worker.Start(u) {
-		c.send(p, false)
+		c.send(p, false, now)
 		packet.PutPacket(p)
 	}
 	if err := c.flushTx(); err != nil {
@@ -491,9 +496,16 @@ func (c *Client) silenceAfter() time.Duration {
 // switchLoop drives the started tensor over the aggregator path until
 // completion, timeout, or — with a Fallback configured — the silence
 // verdict (returned as errSilence for the caller to degrade on).
+//
+// Each wakeup reads the clock twice: once before blocking, for the
+// silence check, the call deadline and the read deadline, and once
+// after the receive returns. The second reading stamps the whole
+// burst — the progress clock, the RTT samples and every update staged
+// while handling it — or drives the timeout sweep.
 func (c *Client) switchLoop(u []int32, deadline time.Time) ([]int32, error) {
 	for {
-		if silence := time.Since(c.lastProgress); silence >= c.silenceAfter() {
+		now := time.Now()
+		if silence := now.Sub(c.lastProgress); silence >= c.silenceAfter() {
 			if c.fb != nil || len(c.ladder) > 1 {
 				// Someone can take over: a host mesh, a standby ladder,
 				// or both. Deliver the silence verdict and let
@@ -501,17 +513,17 @@ func (c *Client) switchLoop(u []int32, deadline time.Time) ([]int32, error) {
 				c.trace(telemetry.EvSwitchSuspect, -1)
 				return nil, errSilence
 			}
-			if time.Now().After(deadline) {
+			if now.After(deadline) {
 				return nil, fmt.Errorf("transport: all-reduce timed out after %v with the aggregator silent for %v (%d chunks outstanding): %w",
 					c.cfg.Timeout, silence.Round(time.Millisecond), c.worker.PendingCount(), ErrAggregatorSilent)
 			}
 		}
-		if time.Now().After(deadline) {
+		if now.After(deadline) {
 			return nil, fmt.Errorf("transport: all-reduce timed out after %v (%d chunks outstanding)",
 				c.cfg.Timeout, c.worker.PendingCount())
 		}
 		// Wake at the earliest pending retransmission deadline.
-		readDeadline := time.Now().Add(c.cfg.RTO)
+		readDeadline := now.Add(c.cfg.RTO)
 		for idx := range c.lastSend {
 			if !c.worker.Pending(uint32(idx)) {
 				continue
@@ -529,9 +541,10 @@ func (c *Client) switchLoop(u []int32, deadline time.Time) ([]int32, error) {
 			return nil, err
 		}
 		nm, err := c.nc.Recv()
+		now = time.Now()
 		if err != nil {
 			if ne, ok := err.(net.Error); ok && ne.Timeout() {
-				c.sweepTimeouts()
+				c.sweepTimeouts(now)
 				continue
 			}
 			if c.canDegrade() {
@@ -549,8 +562,8 @@ func (c *Client) switchLoop(u []int32, deadline time.Time) ([]int32, error) {
 				c.corrupt.Inc()
 				continue // corrupted datagram
 			}
-			c.lastProgress = time.Now()
-			done, err := c.handleIncoming(&c.rp)
+			c.lastProgress = now
+			done, err := c.handleIncoming(&c.rp, now)
 			if err != nil {
 				return nil, err
 			}
@@ -569,10 +582,11 @@ func (c *Client) switchLoop(u []int32, deadline time.Time) ([]int32, error) {
 	}
 }
 
-// handleIncoming dispatches one datagram from the aggregator. Results
-// feed the protocol state machine; reconfigure and resume directives
-// run the worker's half of the §5.6 recovery handshake.
-func (c *Client) handleIncoming(p *packet.Packet) (bool, error) {
+// handleIncoming dispatches one datagram from the aggregator, received
+// at now. Results feed the protocol state machine; reconfigure and
+// resume directives run the worker's half of the §5.6 recovery
+// handshake.
+func (c *Client) handleIncoming(p *packet.Packet, now time.Time) (bool, error) {
 	//switchml:dispatch
 	switch p.Kind {
 	case packet.KindReconfig:
@@ -614,15 +628,17 @@ func (c *Client) handleIncoming(p *packet.Packet) (bool, error) {
 			c.retxed[i] = false
 		}
 		for _, q := range pkts {
-			c.send(q, false)
+			c.send(q, false, now)
 			packet.PutPacket(q)
 		}
 		return false, nil
 	case packet.KindResult, packet.KindResultUnicast:
 		if c.cfg.AdaptiveRTO && int(p.Idx) < len(c.retxed) && !c.retxed[p.Idx] && c.worker.Pending(p.Idx) {
 			// A clean (never retransmitted) in-flight chunk's round
-			// trip is an unambiguous RTT sample (Karn's rule).
-			c.observeRTT(time.Since(c.lastSend[p.Idx]))
+			// trip is an unambiguous RTT sample (Karn's rule). Both ends
+			// are wakeup stamps, so it can overstate by one burst's
+			// handling time.
+			c.observeRTT(now.Sub(c.lastSend[p.Idx]))
 		}
 		next, done := c.worker.HandleResult(p)
 		if next != nil || done || !c.worker.Pending(p.Idx) {
@@ -633,7 +649,7 @@ func (c *Client) handleIncoming(p *packet.Packet) (bool, error) {
 			}
 		}
 		if next != nil {
-			c.send(next, false)
+			c.send(next, false, now)
 			packet.PutPacket(next)
 		}
 		return done, nil
@@ -646,7 +662,7 @@ func (c *Client) handleIncoming(p *packet.Packet) (bool, error) {
 }
 
 // send stages an update into the window train and stamps its slot
-// timer, consulting the fault injector: a drop is not staged, a
+// timer with now, consulting the fault injector: a drop is not staged, a
 // corruption stages the mangled bytes, a duplicate is staged twice.
 // An injected drop still stamps the timer — the packet was "lost on
 // the wire", and the retransmission machinery is exactly what
@@ -655,8 +671,8 @@ func (c *Client) handleIncoming(p *packet.Packet) (bool, error) {
 // soon as send returns. retx flags retransmissions, whose round trips
 // the RTT estimator must ignore. Send failures surface at the next
 // flushTx.
-func (c *Client) send(p *packet.Packet, retx bool) {
-	c.lastSend[p.Idx] = time.Now()
+func (c *Client) send(p *packet.Packet, retx bool, now time.Time) {
+	c.lastSend[p.Idx] = now
 	if int(p.Idx) < len(c.retxed) {
 		c.retxed[p.Idx] = retx
 	}
@@ -792,15 +808,14 @@ func (c *Client) observeRTT(sample time.Duration) {
 	c.gRTO.Set(int64(base))
 }
 
-// sweepTimeouts retransmits every pending chunk whose RTO elapsed
-// (Algorithm 4 lines 20-23), doubling that slot's timeout. Sweeps are
+// sweepTimeouts retransmits every pending chunk whose RTO elapsed by
+// now (Algorithm 4 lines 20-23), doubling that slot's timeout. Sweeps are
 // also the mid-tensor publication point for the frontier and pending
 // gauges: frequent enough to be live, rare enough that the
 // O(chunks) frontier scan never shadows packet handling.
-func (c *Client) sweepTimeouts() {
+func (c *Client) sweepTimeouts(now time.Time) {
 	c.gPending.Set(int64(c.worker.PendingCount()))
 	c.gFrontier.Set(int64(c.worker.FrontierOff()))
-	now := time.Now()
 	for idx := range c.lastSend {
 		if !c.worker.Pending(uint32(idx)) {
 			continue
@@ -814,7 +829,7 @@ func (c *Client) sweepTimeouts() {
 		c.trace(telemetry.EvTimeoutFired, int32(idx))
 		if p := c.worker.Retransmit(uint32(idx)); p != nil {
 			c.trace(telemetry.EvRetransmit, int32(idx))
-			c.send(p, true)
+			c.send(p, true, now)
 			packet.PutPacket(p)
 		}
 	}

@@ -66,7 +66,7 @@ func TestClientCountsUnexpectedKind(t *testing.T) {
 	defer c.Close()
 
 	for _, k := range []packet.Kind{packet.KindUpdate, packet.KindReport, packet.KindHeartbeat} {
-		done, err := c.handleIncoming(&packet.Packet{Kind: k})
+		done, err := c.handleIncoming(&packet.Packet{Kind: k}, time.Now())
 		if done || err != nil {
 			t.Fatalf("handleIncoming(%v) = %v, %v; want false, nil", k, done, err)
 		}

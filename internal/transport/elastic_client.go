@@ -143,7 +143,8 @@ func (c *Client) holdAtFence(deadline time.Time) (reopened bool, err error) {
 			c.corrupt.Inc()
 			continue
 		}
-		c.lastProgress = time.Now()
+		now := time.Now()
+		c.lastProgress = now
 		//switchml:dispatch
 		switch c.rp.Kind {
 		case packet.KindResume:
@@ -172,7 +173,7 @@ func (c *Client) holdAtFence(deadline time.Time) (reopened bool, err error) {
 			c.fenceArmed = false
 			c.trace(telemetry.EvResume, -1)
 			for _, q := range pkts {
-				c.send(q, false)
+				c.send(q, false, now)
 				packet.PutPacket(q)
 			}
 			return true, nil

@@ -264,10 +264,11 @@ func (c *Client) adoptAt(rank int, deadline time.Time) error {
 				return fmt.Errorf("transport: adoption resume at %d: %w", p.Off, rerr)
 			}
 			c.adoptEpoch(p.JobID)
-			c.lastProgress = time.Now()
+			now := time.Now()
+			c.lastProgress = now
 			c.trace(telemetry.EvResume, -1)
 			for _, q := range pkts {
-				c.send(q, false)
+				c.send(q, false, now)
 				packet.PutPacket(q)
 			}
 			return c.flushTx()

@@ -320,13 +320,14 @@ func (c *Client) failback(u []int32, deadline time.Time) ([]int32, error) {
 	c.trace(telemetry.EvFailback, -1)
 	// The progress clock last ticked before the outage; restart it or
 	// the silence detector would re-degrade before the first result.
-	c.lastProgress = time.Now()
+	now := time.Now()
+	c.lastProgress = now
 	for i := range c.backoff {
 		c.backoff[i] = 0
 		c.retxed[i] = false
 	}
 	for _, p := range pkts {
-		c.send(p, false)
+		c.send(p, false, now)
 		packet.PutPacket(p)
 	}
 	out, err := c.switchLoop(u, deadline)

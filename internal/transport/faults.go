@@ -248,17 +248,18 @@ func (a *Aggregator) handleReport(p *packet.Packet, src netip.AddrPort) {
 	}
 }
 
-// touch records liveness from a heartbeat (or other control traffic)
-// and keeps the sender's address fresh. Lock-free: the tracker and
-// the address table are atomic.
-func (a *Aggregator) touch(p *packet.Packet, src netip.AddrPort) {
+// touch records liveness from a heartbeat (or other control traffic),
+// stamped with the burst's clock reading now, and keeps the sender's
+// address fresh. Lock-free: the tracker and the address table are
+// atomic.
+func (a *Aggregator) touch(p *packet.Packet, src netip.AddrPort, now int64) {
 	if a.lv == nil {
 		return
 	}
 	if a.lv.tracker.Dead(int(p.WorkerID)) {
 		return
 	}
-	a.lv.tracker.Touch(int(p.WorkerID), time.Now().UnixNano())
+	a.lv.tracker.Touch(int(p.WorkerID), now)
 	a.lv.job.setPeer(p.WorkerID, src)
 }
 

@@ -268,7 +268,7 @@ func TestFaultClientBackoffResetOnReceive(t *testing.T) {
 	// slot is still pending, so the loss streak is not over.
 	c.backoff[0] = 5
 	stale := &packet.Packet{Kind: packet.KindResult, Ver: 1, Idx: 0, Off: 0, Vector: make([]int32, k)}
-	if _, err := c.handleIncoming(stale); err != nil {
+	if _, err := c.handleIncoming(stale, time.Now()); err != nil {
 		t.Fatal(err)
 	}
 	if c.backoff[0] != 5 {
@@ -280,7 +280,7 @@ func TestFaultClientBackoffResetOnReceive(t *testing.T) {
 	for j := range good.Vector {
 		good.Vector[j] = 2 * int32(j)
 	}
-	if _, err := c.handleIncoming(good); err != nil {
+	if _, err := c.handleIncoming(good, time.Now()); err != nil {
 		t.Fatal(err)
 	}
 	if c.backoff[0] != 0 {
@@ -290,7 +290,7 @@ func TestFaultClientBackoffResetOnReceive(t *testing.T) {
 	// A duplicate result for the now-idle slot also resets (the slot
 	// has nothing outstanding, so backing off is meaningless).
 	c.backoff[0] = 3
-	if _, err := c.handleIncoming(good); err != nil {
+	if _, err := c.handleIncoming(good, time.Now()); err != nil {
 		t.Fatal(err)
 	}
 	if c.backoff[0] != 0 {

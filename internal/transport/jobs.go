@@ -32,6 +32,10 @@ var errJobsNeedStaticIDs = errors.New("transport: jobs cannot be admitted or rel
 type aggJob struct {
 	id uint16
 	sw *core.ShardedSwitch
+	// now is the job's clock, SwitchConfig.Now (telemetry.WallClock
+	// unless configured): the shard loops read it once per burst and
+	// stamp the burst's packets with the reading.
+	now func() int64
 	// peers is the learned worker address table, indexed by worker
 	// id. Entries are written at most once per address change.
 	peers []atomic.Pointer[netip.AddrPort]
@@ -102,7 +106,7 @@ func (a *Aggregator) admitLocked(cfg core.SwitchConfig) (*aggJob, error) {
 		return nil, fmt.Errorf("transport: job %d needs %d bytes, only %d of %d available",
 			cfg.JobID, sw.MemoryBytes(), budget-used, budget)
 	}
-	j := &aggJob{id: cfg.JobID, sw: sw, peers: make([]atomic.Pointer[netip.AddrPort], cfg.Workers)}
+	j := &aggJob{id: cfg.JobID, sw: sw, now: cfg.Now, peers: make([]atomic.Pointer[netip.AddrPort], cfg.Workers)}
 	next := append(append(make([]*aggJob, 0, len(tab)+1), tab...), j)
 	sort.Slice(next, func(x, y int) bool { return next[x].id < next[y].id })
 	a.storeTableLocked(next)

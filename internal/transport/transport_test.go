@@ -80,6 +80,42 @@ func TestUDPAllReduce(t *testing.T) {
 	}
 }
 
+// TestUDPSlotFillAccountsEveryCompletion checks an accounting identity
+// of the burst-stamped switch clock on a 4-shard aggregator: every
+// slot completion observes exactly one fill time, and none is
+// negative, even when a phase opened by one shard's burst is closed by
+// another shard's burst that was stamped earlier.
+func TestUDPSlotFillAccountsEveryCompletion(t *testing.T) {
+	const n, d = 4, 20000
+	updates := make([][]int32, n)
+	for i := range updates {
+		updates[i] = make([]int32, d)
+		for j := range updates[i] {
+			updates[i][j] = int32(i + j)
+		}
+	}
+	_, agg := runCluster(t, n, 8, 32, updates, nil)
+	defer agg.Close()
+	if agg.cfg.Shards != 4 {
+		t.Fatalf("aggregator runs %d shards, want the default 4", agg.cfg.Shards)
+	}
+	snap := agg.Registry().Snapshot()
+	completions := snap.Counters[`switch_completions_total{job="0"}`]
+	fill, ok := snap.Histograms[`switch_slot_fill_ns{job="0"}`]
+	if !ok {
+		t.Fatal("switch_slot_fill_ns not registered")
+	}
+	if completions != (d+31)/32 {
+		t.Errorf("completions = %d, want %d", completions, (d+31)/32)
+	}
+	if fill.Count != completions {
+		t.Errorf("slot-fill observations = %d, completions = %d: every completion must observe one fill time", fill.Count, completions)
+	}
+	if fill.Sum < 0 {
+		t.Errorf("slot-fill sum = %v ns, want >= 0", fill.Sum)
+	}
+}
+
 func TestUDPAllReduceWithResultLoss(t *testing.T) {
 	// Drop the first multicast result for every slot offset: workers
 	// must recover through timeouts and the shadow-copy unicast path,
